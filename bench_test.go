@@ -107,14 +107,27 @@ func BenchmarkValidAssignmentCountDP(b *testing.B) {
 	}
 }
 
-func BenchmarkAggregate1000(b *testing.B) {
-	offers := benchOffers(1000)
+// benchGroup is the grouping the aggregation and pipeline benchmarks
+// run under.
+var benchGroup = GroupParams{ESTTolerance: 4, TFTolerance: -1, MaxGroupSize: 64}
+
+// benchAggregate times Engine.Aggregate over the offers on a one-shard
+// engine of the given worker count.
+func benchAggregate(b *testing.B, offers []*FlexOffer, workers int) {
+	eng := New(WithWorkers(workers), WithGrouping(benchGroup))
+	defer eng.Close()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AggregateAll(offers, GroupParams{ESTTolerance: 4, TFTolerance: -1, MaxGroupSize: 64}); err != nil {
+		if _, err := eng.Aggregate(ctx, offers); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAggregate1000 is the serial (one-worker) engine aggregation.
+func BenchmarkAggregate1000(b *testing.B) {
+	benchAggregate(b, benchOffers(1000), 1)
 }
 
 // BenchmarkAggregate1000Parallel is the worker-pool counterpart of
@@ -124,14 +137,7 @@ func BenchmarkAggregate1000Parallel(b *testing.B) {
 	offers := benchOffers(1000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pp := ParallelParams{Workers: workers}
-			gp := GroupParams{ESTTolerance: 4, TFTolerance: -1, MaxGroupSize: 64}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := AggregateAllParallel(offers, gp, pp); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchAggregate(b, offers, workers)
 		})
 	}
 }
@@ -180,24 +186,28 @@ func BenchmarkSchedule1000(b *testing.B) {
 }
 
 // BenchmarkSchedulePipeline1000 measures the streaming
-// group→aggregate→schedule→disaggregate chain end to end; compare the
-// workers=N sub-benchmarks on multi-core hardware.
+// group→aggregate→schedule→disaggregate chain end to end through
+// Engine.Pipeline; compare the shards=S/workers=N sub-benchmarks on
+// multi-core hardware.
 func BenchmarkSchedulePipeline1000(b *testing.B) {
 	offers := benchOffers(1000)
 	r := rand.New(rand.NewSource(7))
 	target := workload.WindProfile(r, 4*workload.SlotsPerDay, 50)
-	cfg := Config{Group: GroupParams{ESTTolerance: 4, TFTolerance: -1, MaxGroupSize: 64}, Safe: true}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := SchedulePipeline(context.Background(), offers, target, cfg); err != nil {
-					b.Fatal(err)
+	ctx := context.Background()
+	for _, shards := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
+				eng := NewSharded(shards, WithWorkers(workers), WithGrouping(benchGroup), WithSafe(true))
+				defer eng.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Pipeline(ctx, offers, target); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

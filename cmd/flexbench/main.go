@@ -56,7 +56,7 @@
 //	flexbench -group 100000 -workers 4  # pin the grouping worker count
 //
 // -scatter sweeps the sharded engine's scatter-gather pipeline over
-// shard counts 1/2/4/8, verifying each one reproduces the single-engine
+// shard counts 1/2/4/8, verifying each one reproduces the one-shard
 // pipeline bit for bit:
 //
 //	flexbench -scatter 20000            # shard sweep, one worker per CPU per shard
@@ -202,7 +202,7 @@ func run(args []string) error {
 	return nil
 }
 
-// runAggCompare times AggregateAll against AggregateAllParallel on a
+// runAggCompare times AggregateAll against AggregateGroupsParallel on a
 // reproducible synthetic population (seed 99, Scenario 1 grouping
 // parameters) and fails unless the two pipelines produce identical
 // aggregates in identical order.
@@ -224,7 +224,7 @@ func runAggCompare(out io.Writer, n, workers int) error {
 	serialDur := time.Since(t0)
 
 	t0 = time.Now()
-	parallel, err := aggregate.AggregateAllParallel(offers, gp, aggregate.ParallelParams{Workers: workers})
+	parallel, err := aggregate.AggregateGroupsParallel(context.Background(), grouping.Group(offers, gp), aggregate.ParallelParams{Workers: workers})
 	if err != nil {
 		return err
 	}
@@ -270,7 +270,7 @@ func runEngineCompare(out io.Writer, n, workers int) error {
 
 	t0 := time.Now()
 	for r := 0; r < rounds; r++ {
-		got, err := aggregate.AggregateAllParallelCtx(context.Background(), offers, gp,
+		got, err := aggregate.AggregateGroupsParallel(context.Background(), grouping.Group(offers, gp),
 			aggregate.ParallelParams{Workers: workers})
 		if err != nil {
 			return err
@@ -414,7 +414,7 @@ func runGroupCompare(out io.Writer, n, workers int) error {
 // runScatterCompare sweeps the sharded engine's scatter-gather
 // pipeline over shard counts 1/2/4/8 on a reproducible synthetic
 // population (seed 99, Scenario 1 grouping) and fails unless every
-// shard count reproduces the single-engine pipeline result exactly —
+// shard count reproduces the one-shard pipeline result exactly —
 // the bit-identity contract that lets flexd change -shards without
 // changing a byte of /v1/schedule output. Zones are stamped so the
 // router exercises its preferred key. On a single machine the sweep
@@ -441,35 +441,29 @@ func runScatterCompare(out io.Writer, n, workers int) error {
 	}
 	target := workload.WindProfile(rng, horizon, expected/int64(horizon))
 
-	eng := flex.New(opts...)
-	defer eng.Close()
-	t0 := time.Now()
-	want, err := eng.Pipeline(context.Background(), offers, target)
-	if err != nil {
-		return err
-	}
-	baseDur := time.Since(t0)
-	fmt.Fprintf(out, "pipelined %d offers → %d aggregates over %d slots (%d workers/shard)\n",
-		n, len(want.Aggregates), horizon, workers)
-	fmt.Fprintf(out, "single engine: %v\n", baseDur)
-
+	var (
+		want    *flex.PipelineResult
+		baseDur time.Duration
+	)
 	for _, shards := range []int{1, 2, 4, 8} {
-		se := flex.NewSharded(shards, opts...)
-		t0 = time.Now()
-		got, err := se.Pipeline(context.Background(), offers, target)
+		eng := flex.NewSharded(shards, opts...)
+		t0 := time.Now()
+		got, err := eng.Pipeline(context.Background(), offers, target)
+		dur := time.Since(t0)
+		eng.Close()
 		if err != nil {
-			se.Close()
 			return fmt.Errorf("shards=%d: %w", shards, err)
 		}
-		dur := time.Since(t0)
-		if !reflect.DeepEqual(got, want) {
-			se.Close()
-			return fmt.Errorf("shards=%d: scatter-gather diverged from single engine", shards)
+		if want == nil {
+			want, baseDur = got, dur
+			fmt.Fprintf(out, "pipelined %d offers → %d aggregates over %d slots (%d workers/shard)\n",
+				n, len(want.Aggregates), horizon, workers)
+		} else if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("shards=%d: scatter-gather diverged from one shard", shards)
 		}
-		fmt.Fprintf(out, "shards=%d:      %v  (%.2fx vs single)\n", shards, dur, float64(baseDur)/float64(dur))
-		se.Close()
+		fmt.Fprintf(out, "shards=%d: %v  (%.2fx vs one shard)\n", shards, dur, float64(baseDur)/float64(dur))
 	}
-	fmt.Fprintln(out, "every shard count reproduced the single-engine pipeline exactly")
+	fmt.Fprintln(out, "every shard count reproduced the one-shard pipeline exactly")
 	return nil
 }
 
@@ -542,7 +536,7 @@ func runSchedCompare(out io.Writer, n, workers int, trace bool) error {
 
 	t0 = time.Now()
 	pp := aggregate.ParallelParams{Workers: workers}
-	items, groups := aggregate.AggregateAllSafeStream(context.Background(), offers, gp, pp)
+	items, groups := aggregate.AggregateGroupsSafeStream(context.Background(), grouping.Group(offers, gp), pp)
 	streamRes, err := sched.ScheduleStream(context.Background(), items, groups, target, sched.Options{})
 	if err != nil {
 		return err

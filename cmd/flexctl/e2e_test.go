@@ -34,7 +34,7 @@ func TestFlexdE2E(t *testing.T) {
 	// builds by default (-safe=true), plus a pool.
 	eng := flex.New(flex.WithWorkers(4), flex.WithSafe(true))
 	defer eng.Close()
-	srv := httptest.NewServer(server.New(eng, server.Options{}))
+	srv := httptest.NewServer(server.NewSharded(eng, server.Options{}))
 	defer srv.Close()
 
 	var ndjson bytes.Buffer

@@ -29,10 +29,10 @@ import (
 	"os"
 
 	flex "flexmeasures"
-	"flexmeasures/internal/aggregate"
 	"flexmeasures/internal/buildinfo"
 	"flexmeasures/internal/core"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/render"
 	"flexmeasures/internal/sched"
 	"flexmeasures/internal/server"
@@ -281,7 +281,7 @@ func cmdAggregate(args []string, out io.Writer) error {
 	if *balance {
 		// Balance-aware grouping is a partitioning strategy, not an
 		// engine option: hand the pre-computed groups to the engine.
-		groups := aggregate.BalanceGroups(offers, aggregate.BalanceParams{ESTTolerance: *est, MaxGroupSize: *size})
+		groups := grouping.BalanceGroups(offers, grouping.BalanceParams{ESTTolerance: *est, MaxGroupSize: *size})
 		ags, err = eng.AggregateGroups(context.Background(), groups)
 	} else {
 		ags, err = eng.Aggregate(context.Background(), offers)
@@ -424,20 +424,9 @@ func cmdSchedule(args []string, out io.Writer) error {
 		flex.WithSafe(true),
 		flex.WithPeakCap(*cap),
 	}
-	// A single engine and a sharded one expose the same scheduling
-	// surface — and, by the scatter-gather design, the same bytes — so
-	// -shards only decides which one backs the run.
-	var eng interface {
-		Pipeline(ctx context.Context, offers []*flexoffer.FlexOffer, target flex.Series, opts ...flex.Option) (*flex.PipelineResult, error)
-		Schedule(ctx context.Context, offers []*flexoffer.FlexOffer, target flex.Series, opts ...flex.Option) (*flex.ScheduleResult, error)
-		Workers() int
-		Close()
-	}
-	if *shards > 1 {
-		eng = flex.NewSharded(*shards, engOpts...)
-	} else {
-		eng = flex.New(engOpts...)
-	}
+	// By the scatter-gather design every shard count yields the same
+	// bytes; -shards only decides how the work is spread.
+	eng := flex.NewSharded(*shards, engOpts...)
 	defer eng.Close()
 	if *pipeline {
 		res, err := eng.Pipeline(context.Background(), offers, target)

@@ -157,7 +157,7 @@ func TestPushRetriesTransportErrors(t *testing.T) {
 func TestPushAgainstRealServer(t *testing.T) {
 	eng := flex.New(flex.WithWorkers(2), flex.WithSafe(true))
 	defer eng.Close()
-	srv := httptest.NewServer(server.New(eng, server.Options{}))
+	srv := httptest.NewServer(server.NewSharded(eng, server.Options{}))
 	defer srv.Close()
 	body := []byte(`{"id":"a","earliestStart":0,"latestStart":2,"slices":[{"min":0,"max":4}]}` + "\n")
 	res, tries, err := pushOffers(context.Background(), srv.Client(), srv.URL, "collect", body,

@@ -8,7 +8,7 @@
 // (routed by offer zone, then ID hash, then round-robin; see package
 // shard) and /v1/schedule runs scatter-gather across them. The response
 // bytes are independent of N: the merge is deterministic and the
-// pipeline bit-identical to a single engine, so shards only change
+// pipeline bit-identical to one shard, so shards only change
 // where the work runs.
 //
 // Scheduling is incremental by default (-incremental): the engine

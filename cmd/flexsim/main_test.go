@@ -18,7 +18,7 @@ import (
 func newFlexd(t *testing.T) *httptest.Server {
 	t.Helper()
 	eng := flex.New(flex.WithWorkers(2), flex.WithSafe(true))
-	srv := httptest.NewServer(server.New(eng, server.Options{}))
+	srv := httptest.NewServer(server.NewSharded(eng, server.Options{}))
 	t.Cleanup(func() {
 		srv.Close()
 		eng.Close()

@@ -2,44 +2,54 @@ package flex
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync"
 
 	"flexmeasures/internal/aggregate"
 	"flexmeasures/internal/core"
-	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/inc"
 	"flexmeasures/internal/obs"
 	"flexmeasures/internal/pool"
 	"flexmeasures/internal/sched"
+	"flexmeasures/internal/shard"
 	"flexmeasures/internal/timeseries"
 )
 
 // Engine is the library's long-lived entry point: one option-configured
-// object that owns a persistent worker pool and presents the paper's
-// operations — aggregation (Scenario 1), scheduling, the full streaming
+// object that owns persistent worker pools and presents the paper's
+// operations — aggregation (Scenario 1), scheduling, the full
 // pipeline, disaggregation and the flexibility measures — as
-// context-first methods. Create one with New at startup, share it
-// freely (every method is safe for concurrent use; calls share the pool
-// without sharing any per-call state), and Close it on shutdown.
+// context-first methods. Create one with New (one shard) or NewSharded
+// at startup, share it freely (every method is safe for concurrent
+// use; calls share the pools without sharing any per-call state), and
+// Close it on shutdown.
 //
-// The Engine exists because a service handling heavy traffic should not
-// pay goroutine-pool setup per request: the free functions this API
-// replaces each spun up and tore down their own workers on every call.
-// An Engine's pool outlives calls, so the per-request cost is the work
-// itself. Results are bit-identical to the deprecated free functions
-// for every worker count — the equivalence tests pin this down.
+// An engine has one or more shards, each owning one persistent worker
+// pool, and serves a population split across them by a shard router
+// (grid zone/tenant when the offer carries one, consistent hash of the
+// prosumer ID otherwise, round-robin for anonymous offers). Aggregate
+// and Pipeline run scatter-gather: every shard stable-sorts its part
+// on its own pool, the runs are k-way merged by (earliest start, time
+// flexibility, sequence) — which reproduces the global stable grouping
+// order bit for bit, because sequence order is store order — the
+// merged run is greedily packed (segmented in parallel at the EST-gap
+// cuts), per-group aggregation fans out across the shard pools in
+// contiguous blocks streamed into the global greedy scheduler, and
+// disaggregation fans back out the same way. The output is therefore
+// bit-identical to the serial chain over the same population for every
+// shard count, worker count and routing key — the property test in
+// sharded_test.go pins this against the stateless serial oracle.
 //
 // One option set governs every method: WithPeakCap, for example,
 // applies to Schedule and Pipeline alike, so the same cap can never
-// silently differ between the two paths (the trap the legacy
-// Config.PeakCap — consulted only by SchedulePipeline — left open).
+// silently differ between the two paths.
 type Engine struct {
 	opts engineOptions
-	// pool is nil when the engine is serial (WithWorkers(1)): methods
-	// then run entirely on the calling goroutine.
-	pool *pool.Pool
+	// pools holds one persistent worker pool per shard. Every entry is
+	// nil when the engine is serial (WithWorkers(1)): each shard's work
+	// then runs on the goroutine that drives its block.
+	pools  []*pool.Pool
+	router shard.Router
 	// incState is the incremental-scheduling cache behind
 	// WithIncremental, created lazily on the first incremental Pipeline
 	// call. Runs serialize on the state's own mutex: placement against
@@ -49,12 +59,23 @@ type Engine struct {
 	incState *inc.State
 }
 
+// ShardedEngine is another name for Engine, whose shard count is set by
+// NewSharded.
+type ShardedEngine = Engine
+
+// RoutedOffer is one offer in a shard store together with its global
+// sequence number — the unit a shard router deals in. Parts handed to
+// the *Routed methods must keep each shard's entries in ascending Seq
+// order with globally unique Seqs, which is exactly what
+// Engine.Partition and the flexd shard store produce.
+type RoutedOffer = shard.Entry
+
 // engineOptions is the resolved option set of one Engine.
 type engineOptions struct {
 	workers int
 	group   GroupParams
-	// grouper, when non-nil, replaces the built-in sharded threshold
-	// grouper as the pipeline's entry stage (WithGrouper).
+	// grouper, when non-nil, replaces the built-in scatter-gather
+	// threshold grouping as the pipeline's entry stage (WithGrouper).
 	grouper Grouper
 	// placement is the greedy scheduler's placement order
 	// (WithPlacement); placeMeasure ranks offers for the
@@ -76,29 +97,28 @@ type engineOptions struct {
 // and, passed to an Engine method, overrides the engine's option set
 // for that one call: eng.Aggregate(ctx, offers, WithGrouping(p)) runs
 // one aggregation under grouping p without touching the engine or its
-// pool. Per-call overrides are what let a tolerance sweep share one
+// pools. Per-call overrides are what let a tolerance sweep share one
 // engine instead of constructing one per tolerance. A per-call
-// WithWorkers caps the call's share of the persistent pool (on a
-// serial engine it spins up per-call goroutines instead, since there
-// is no pool to share).
+// WithWorkers caps the call's share of each shard's pool (on a serial
+// engine it spins up per-call goroutines instead, since there is no
+// pool to share).
 type Option func(*engineOptions)
 
-// WithWorkers sizes the engine's persistent worker pool: 0 (the
+// WithWorkers sizes each shard's persistent worker pool: 0 (the
 // default) means one worker per logical CPU, 1 makes the engine fully
-// serial (no pool, every method runs on the calling goroutine), and
-// larger values pin the pool size.
+// serial (no pools), and larger values pin the pool size.
 func WithWorkers(n int) Option {
 	return func(o *engineOptions) { o.workers = n }
 }
 
 // WithGrouping sets the similarity tolerances of the engine's built-in
-// grouper — the parallel sharded threshold strategy Aggregate and
-// Pipeline partition offers with, whose output is bit-identical to the
-// serial aggregate.Group for every worker count. The default is the
-// zero GroupParams (identical earliest starts and time flexibilities
-// per group, unbounded group size). WithGrouping maps onto WithGrouper:
-// it (re)selects the built-in grouper under p, replacing any custom
-// Grouper installed earlier in the option list.
+// threshold grouping — the scatter-gather sort, merge and segmented
+// pack Aggregate and Pipeline partition offers with, whose output is
+// bit-identical to the serial grouping.Group for every shard and
+// worker count. The default is the zero GroupParams (identical
+// earliest starts and time flexibilities per group, unbounded group
+// size). WithGrouping (re)selects the built-in grouping under p,
+// replacing any custom Grouper installed earlier in the option list.
 func WithGrouping(p GroupParams) Option {
 	return func(o *engineOptions) {
 		o.group = p
@@ -107,24 +127,18 @@ func WithGrouping(p GroupParams) Option {
 }
 
 // WithGrouper installs a custom grouping strategy as the pipeline's
-// entry stage: Aggregate and Pipeline hand the offers to g and
-// aggregate whatever partition it returns. The grouping package ships
-// the strategies — grouping.Sharded (the default, attach the engine's
-// Executor for pool-backed packing), grouping.Threshold,
+// entry stage: Aggregate and Pipeline hand the offers (in store order)
+// to g and aggregate whatever partition it returns. The grouping
+// package ships the strategies — grouping.Sharded, grouping.Threshold,
 // grouping.Balance — and aggregate.Optimizer adapts the loss-bounded
-// optimizing strategy. A grouper that also implements grouping.Streamer
-// (as Sharded does) lets Pipeline start aggregating the first shard's
-// groups while later shards are still being packed. The Grouper must be
-// safe for concurrent use; the engine shares it across calls.
+// optimizing strategy. The Grouper must be safe for concurrent use;
+// the engine shares it across calls.
 func WithGrouper(g Grouper) Option {
 	return func(o *engineOptions) { o.grouper = g }
 }
 
 // WithPlacement selects the greedy scheduler's placement order for
-// Schedule and Pipeline — the option that retires the deprecated
-// options-taking Schedule free function for every order except
-// OrderRandom (which needs a caller-owned rand source and stays with
-// the sched options). Pipeline streams placements and therefore
+// Schedule and Pipeline. Pipeline streams placements and therefore
 // supports OrderArrival only; other orders make it fail with
 // sched.ErrStreamOrder. The default is OrderArrival.
 func WithPlacement(order ScheduleOrder) Option {
@@ -156,19 +170,18 @@ func WithPeakCap(cap int64) Option {
 	return func(o *engineOptions) { o.peakCap = cap }
 }
 
-// WithIncremental switches Pipeline (and PipelineRouted on a sharded
-// engine) to incremental continuous scheduling: the engine keeps a
-// content-addressed cache of each group's aggregate and placement
-// across calls, so a call after a small fleet delta re-aggregates and
-// re-places only the groups whose membership changed — O(changed
-// groups) instead of O(fleet) — and replays the rest with O(profile)
-// integer adds. The output is bit-identical to the stateless pipeline
-// for every churn sequence, shard count and worker count (the
-// equivalence property test pins this); the stateless path remains the
-// oracle. Incremental runs serialize on the engine's cache; the
-// stateless stages still fan out across the worker pool. Only
-// OrderArrival placement is supported, exactly like the streaming
-// pipeline.
+// WithIncremental switches Pipeline and PipelineRouted to incremental
+// continuous scheduling: the engine keeps a content-addressed cache of
+// each group's aggregate and placement across calls, so a call after a
+// small fleet delta re-aggregates and re-places only the groups whose
+// membership changed — O(changed groups) instead of O(fleet) — and
+// replays the rest with O(profile) integer adds. The output is
+// bit-identical to the stateless pipeline for every churn sequence,
+// shard count and worker count (the equivalence property test pins
+// this); the stateless path remains the oracle. Incremental runs
+// serialize on the engine's cache; the stateless stages still fan out
+// across the worker pools. Only OrderArrival placement is supported,
+// exactly like the streaming pipeline.
 func WithIncremental(on bool) Option {
 	return func(o *engineOptions) { o.incremental = on }
 }
@@ -196,11 +209,24 @@ func WithNorm(n Norm) Option {
 	return func(o *engineOptions) { o.norm = n }
 }
 
-// New returns a long-lived Engine configured by the options. Unless
-// WithWorkers(1) made it serial, the engine starts its worker pool
-// immediately; the pool persists across calls until Close.
+// New returns a long-lived one-shard Engine configured by the options:
+// NewSharded(1, opts...).
 func New(opts ...Option) *Engine {
-	e := &Engine{opts: engineOptions{norm: L1}}
+	return NewSharded(1, opts...)
+}
+
+// NewSharded returns an Engine of `shards` shards (values below 1 mean
+// 1), each with its own persistent worker pool of the configured size,
+// started immediately unless WithWorkers(1) made the engine serial.
+// The pools persist across calls until Close.
+func NewSharded(shards int, opts ...Option) *Engine {
+	if shards < 1 {
+		shards = 1
+	}
+	e := &Engine{
+		pools:  make([]*pool.Pool, shards),
+		router: shard.Router{Shards: shards},
+	}
 	for _, opt := range opts {
 		opt(&e.opts)
 	}
@@ -208,45 +234,91 @@ func New(opts ...Option) *Engine {
 		e.opts.norm = L1
 	}
 	if e.opts.workers != 1 {
-		e.pool = pool.New(e.opts.workers)
+		for k := range e.pools {
+			e.pools[k] = pool.New(e.opts.workers)
+		}
 	}
 	return e
 }
 
-// Workers reports the engine's resolved worker count (1 for a serial
-// engine).
+// SetRouterKey replaces the router's partitioning key — the pluggable
+// seam for deployments whose affinity is neither zone nor prosumer ID
+// (an empty key falls back to round-robin). Call it before the engine
+// starts partitioning offers; it is not synchronized with in-flight
+// calls. The scatter-gather output is bit-identical under every key,
+// so changing the key never changes results, only locality.
+func (e *Engine) SetRouterKey(key func(*FlexOffer) string) {
+	e.router.Key = key
+}
+
+// Shards returns the shard count.
+func (e *Engine) Shards() int { return len(e.pools) }
+
+// Workers reports the per-shard worker count (1 for a serial engine).
 func (e *Engine) Workers() int {
-	if e.pool == nil {
+	if e.pools[0] == nil {
 		return 1
 	}
-	return e.pool.Workers()
+	return e.pools[0].Workers()
 }
 
-// Close releases the engine's worker pool. Calls already in flight
-// complete; calls made after Close still work, degraded to the calling
-// goroutine. Close is idempotent.
-func (e *Engine) Close() { e.pool.Close() }
-
-// Executor exposes the engine's persistent worker pool as an Executor,
-// for subsystems that shard their own index-addressed work across it —
-// the flexd service's NDJSON decode shards submit here. It is nil for
-// a serial engine, which every Executor consumer treats as per-call
+// Executor exposes shard 0's persistent pool as an Executor, for
+// subsystems that shard their own index-addressed work across it — the
+// flexd service's NDJSON decode shards submit here. It is nil for a
+// serial engine, which every Executor consumer treats as per-call
 // spin-up.
-func (e *Engine) Executor() Executor {
-	if e.pool == nil {
-		return nil
+func (e *Engine) Executor() Executor { return e.executor(0) }
+
+// executor returns shard k's pool as an Executor; k wraps modulo the
+// shard count, tolerating routed parts slices wider than the engine.
+// The nil check matters: wrapping a nil *pool.Pool in the interface
+// would make it non-nil and silently serialize callers instead of
+// letting them fall back to per-call spin-up.
+func (e *Engine) executor(k int) Executor {
+	if p := e.pools[k%len(e.pools)]; p != nil {
+		return p
 	}
-	return e.pool
+	return nil
 }
 
-// PoolStats reports the pool's size and how many of its workers are
-// executing a task right now — the occupancy gauge flexd's /metrics
-// endpoint exports. A serial engine reports (1, 0).
+// PoolStats reports the pools' total size and how many of their
+// workers are executing a task right now, summed across shards — the
+// occupancy gauge flexd's /metrics endpoint exports. A serial engine
+// reports one worker per shard, none busy.
 func (e *Engine) PoolStats() (workers, busy int) {
-	if e.pool == nil {
+	for k := range e.pools {
+		w, b := e.ShardPoolStats(k)
+		workers += w
+		busy += b
+	}
+	return workers, busy
+}
+
+// ShardPoolStats reports shard k's pool size and busy workers — the
+// per-shard gauge flexd's /metrics labels by shard.
+func (e *Engine) ShardPoolStats(k int) (workers, busy int) {
+	if e.pools[k] == nil {
 		return 1, 0
 	}
-	return e.pool.Workers(), e.pool.Busy()
+	return e.pools[k].Workers(), e.pools[k].Busy()
+}
+
+// Close releases every shard's worker pool. Calls already in flight
+// complete; calls made after Close still work, degraded to per-call
+// goroutines. Close is idempotent.
+func (e *Engine) Close() {
+	for _, p := range e.pools {
+		p.Close()
+	}
+}
+
+// Partition routes a materialized offer slice through the shard router
+// into per-shard parts, assigning global sequence numbers in input
+// order — the entry point the non-Routed convenience methods use. A
+// long-lived service keeps offers pre-routed (flexd's shard store)
+// and calls the Routed methods directly instead.
+func (e *Engine) Partition(offers []*FlexOffer) [][]RoutedOffer {
+	return shard.Partition(offers, e.router)
 }
 
 // resolve returns the engine's option set with per-call overrides
@@ -263,120 +335,69 @@ func (e *Engine) resolve(opts []Option) engineOptions {
 	return o
 }
 
-// optionsOf lifts a legacy Config into the engine's option shape — the
-// inverse bridge the deprecated shims enter the shared pipeline
-// through. A Config carries no grouper or placement, so the lifted set
-// uses the built-in grouper and arrival order, exactly what the legacy
-// entry points always did.
-func optionsOf(cfg Config) engineOptions {
-	return engineOptions{
-		workers: cfg.Workers,
-		group:   cfg.Group,
-		safe:    cfg.Safe,
-		peakCap: cfg.PeakCap,
-		errMode: cfg.ErrorMode,
-		norm:    L1,
-	}
-}
-
-// parallelParams attaches the engine's pool to per-call parallel
-// params: pp.Workers == 1 stays serial (matching the legacy contract
-// that 1 forces the serial path); anything else submits to the
-// persistent pool, with pp.Workers capping this call's share of it.
-func (e *Engine) parallelParams(pp ParallelParams) ParallelParams {
-	// The nil check on e.pool matters: wrapping a nil *pool.Pool in the
-	// Executor interface would make pp.Pool non-nil and silently
-	// serialize the call instead of falling back to per-call spin-up.
-	if pp.Workers != 1 && pp.Pool == nil && e.pool != nil {
-		pp.Pool = e.pool
+// parallelParams builds shard k's per-call parallel params: a call
+// resolved to one worker stays serial; anything else submits to the
+// shard's persistent pool, with o.workers capping this call's share of
+// it (or, on a serial engine, spinning up per-call goroutines).
+func (e *Engine) parallelParams(k int, o engineOptions) aggregate.ParallelParams {
+	pp := aggregate.ParallelParams{Workers: o.workers, ErrorMode: o.errMode}
+	if pp.Workers != 1 {
+		pp.Pool = e.executor(k)
 	}
 	return pp
 }
 
-// grouper resolves the option set's grouping strategy: the custom
-// Grouper when one is installed, otherwise the built-in parallel
-// sharded threshold grouper over the engine's pool — whose output is
-// bit-identical to the serial aggregate.Group, so switching an engine
-// between worker counts (or to a serial engine) never changes the
-// partition.
-func (e *Engine) grouper(o engineOptions) Grouper {
-	if o.grouper != nil {
-		return o.grouper
+// runIndexed fans fn(i) over [0, n) across shard k's pool, or runs it
+// inline on a serial engine.
+func (e *Engine) runIndexed(k, n int, fn func(int)) {
+	if p := e.pools[k]; p != nil {
+		p.ForEach(n, 0, 0, fn)
+		return
 	}
-	return &grouping.Sharded{Params: o.group, Pool: e.Executor(), Workers: o.workers}
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
 }
 
-// Aggregate partitions the offers with the engine's grouper — the
-// parallel sharded threshold strategy unless WithGrouper installed
-// another — and aggregates every group on the worker pool (Scenario 1's
-// aggregation stage). The result is identical to the serial
-// AggregateAll in the same group order for every engine configuration;
-// per-group failures are reported under the engine's error mode.
-// Options override the engine's option set for this call only — e.g.
-// Aggregate(ctx, offers, WithGrouping(p)) sweeps a tolerance without
-// constructing a second engine.
+// Aggregate partitions the offers with the shard router and runs the
+// scatter-gather grouping and aggregation (Scenario 1's aggregation
+// stage). The result is identical to the serial chain — grouping.Group
+// then one aggregation per group — in the same group order for every
+// engine configuration; per-group failures are reported under the
+// engine's error mode. Options override the engine's option set for
+// this call only — e.g. Aggregate(ctx, offers, WithGrouping(p)) sweeps
+// a tolerance without constructing a second engine.
 func (e *Engine) Aggregate(ctx context.Context, offers []*FlexOffer, opts ...Option) ([]*Aggregated, error) {
+	return e.AggregateRouted(ctx, e.Partition(offers), opts...)
+}
+
+// AggregateRouted is Aggregate over pre-routed parts (see RoutedOffer
+// for the part invariants).
+func (e *Engine) AggregateRouted(ctx context.Context, parts [][]RoutedOffer, opts ...Option) ([]*Aggregated, error) {
 	o := e.resolve(opts)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	groups, err := e.grouper(o).Group(ctx, offers)
+	groups, err := e.scatterGroup(ctx, parts, o)
 	if err != nil {
 		return nil, err
 	}
-	return e.aggregateGroups(ctx, groups, o)
+	obs.AddGroups(ctx, len(groups))
+	return e.scatterAggregateGroups(ctx, groups, o)
 }
 
 // AggregateGroups aggregates pre-computed groups — the output of
-// GroupOffers, BalanceGroups or OptimizeGroups — on the worker pool,
-// preserving group order, for callers whose partitioning strategy is
-// not the engine's grouper. WithSafe (engine-level or per-call) selects
-// safe aggregation; failures are reported under the error mode exactly
-// like Aggregate.
+// GroupOffers, BalanceGroups or OptimizeGroups — across the shard
+// pools, preserving group order, for callers whose partitioning
+// strategy is not the engine's grouping. WithSafe (engine-level or
+// per-call) selects safe aggregation; failures are reported under the
+// error mode exactly like Aggregate.
 func (e *Engine) AggregateGroups(ctx context.Context, groups [][]*FlexOffer, opts ...Option) ([]*Aggregated, error) {
 	o := e.resolve(opts)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.aggregateGroups(ctx, groups, o)
-}
-
-// aggregateGroups fans the aggregation of a materialized partition out
-// across the pool under the resolved option set.
-func (e *Engine) aggregateGroups(ctx context.Context, groups [][]*FlexOffer, o engineOptions) ([]*Aggregated, error) {
-	pp := e.parallelParams(ParallelParams{Workers: o.workers, ErrorMode: o.errMode})
-	if o.safe {
-		return aggregate.AggregateGroupsSafeParallel(ctx, groups, pp)
-	}
-	return aggregate.AggregateGroupsParallel(ctx, groups, pp)
-}
-
-// aggregateWith is aggregation under an explicit legacy Config — the
-// implementation behind the deprecated AggregateWithConfig shim, kept
-// on the exact legacy code path (serial grouping, serial fast path for
-// one first-error worker); Engine.Aggregate itself enters through the
-// grouper. Both produce bit-identical output — the equivalence tests
-// pin it.
-func (e *Engine) aggregateWith(ctx context.Context, offers []*FlexOffer, cfg Config) ([]*Aggregated, error) {
-	// The Workers == 1 fast path skips the per-group error slots, which
-	// is only legal in first-error mode: collect-all must keep
-	// aggregating past failures, so it goes through the slot machinery
-	// below (with one worker that machinery still runs inline on the
-	// calling goroutine, in group order).
-	if cfg.Workers == 1 && cfg.ErrorMode == FirstError {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if cfg.Safe {
-			return aggregate.AggregateAllSafe(offers, cfg.Group)
-		}
-		return aggregate.AggregateAll(offers, cfg.Group)
-	}
-	pp := e.parallelParams(ParallelParams{Workers: cfg.Workers, ErrorMode: cfg.ErrorMode})
-	if cfg.Safe {
-		return aggregate.AggregateAllSafeParallel(ctx, offers, cfg.Group, pp)
-	}
-	return aggregate.AggregateAllParallelCtx(ctx, offers, cfg.Group, pp)
+	return e.scatterAggregateGroups(ctx, groups, o)
 }
 
 // Schedule greedily assigns every offer a start time and energy values
@@ -384,8 +405,9 @@ func (e *Engine) aggregateWith(ctx context.Context, offers []*FlexOffer, cfg Con
 // candidate evaluator, the engine's peak cap (overridable per call with
 // WithPeakCap), and the engine's placement order (WithPlacement, with
 // WithPlacementMeasure ranking offers for the flexibility-aware
-// orders). OrderRandom needs a caller-owned rand source and therefore
-// stays with the deprecated options-taking Schedule function.
+// orders). Scheduling against one shared residual is inherently
+// sequential, so it runs on the calling goroutine. OrderRandom needs a
+// caller-owned rand source and fails with sched.ErrNeedsRand.
 func (e *Engine) Schedule(ctx context.Context, offers []*FlexOffer, target Series, opts ...Option) (*ScheduleResult, error) {
 	o := e.resolve(opts)
 	if err := ctx.Err(); err != nil {
@@ -398,6 +420,12 @@ func (e *Engine) Schedule(ctx context.Context, offers []*FlexOffer, target Serie
 		Order:   o.placement,
 		Measure: o.placeMeasure,
 	})
+}
+
+// ScheduleRouted is Schedule over pre-routed parts, flattened back into
+// store order.
+func (e *Engine) ScheduleRouted(ctx context.Context, parts [][]RoutedOffer, target Series, opts ...Option) (*ScheduleResult, error) {
+	return e.Schedule(ctx, shard.Flatten(parts), target, opts...)
 }
 
 // Improve refines a schedule by local search: each round re-places one
@@ -414,109 +442,89 @@ func (e *Engine) Improve(ctx context.Context, offers []*FlexOffer, target Series
 	return sched.Improve(offers, target, res, maxRounds)
 }
 
-// Pipeline runs the paper's full Scenario-1 chain — group → aggregate →
-// schedule → disaggregate — as one streaming pipeline on the engine's
-// worker pool, entered through the engine's grouper: the sharded
-// grouper streams each shard's groups to the aggregation workers as
-// soon as the shard is packed, each finished aggregate is handed
-// straight to the scheduler, which places it as soon as its group index
-// is next, and the scheduled aggregates are disaggregated by the same
-// workers. No stage waits for the previous one to finish its whole
-// batch. The result is identical to the materialized sequence Aggregate
-// → Schedule (arrival order) → Disaggregate for every engine
-// configuration, and the engine's peak cap applies exactly as in
-// Schedule. Options override the engine's option set for this call
-// only.
+// PipelineResult is the output of Engine.Pipeline: the complete
+// Scenario-1 chain from raw offers to per-prosumer assignments.
+type PipelineResult struct {
+	// Aggregates holds the aggregated groups in group order.
+	Aggregates []*Aggregated
+	// AggregateSchedule is the schedule of the aggregates:
+	// AggregateSchedule.Assignments[i] instantiates Aggregates[i].Offer.
+	AggregateSchedule *ScheduleResult
+	// Disaggregated[i][j] is the assignment of
+	// Aggregates[i].Constituents[j]. Disaggregation preserves slot-wise
+	// sums, so the constituent assignments reproduce Load exactly.
+	Disaggregated [][]Assignment
+	// Load is the slot-wise total load of the schedule.
+	Load Series
+}
+
+// Pipeline partitions the offers with the shard router and runs the
+// full Scenario-1 chain scatter-gather; see PipelineRouted.
 func (e *Engine) Pipeline(ctx context.Context, offers []*FlexOffer, target Series, opts ...Option) (*PipelineResult, error) {
-	return e.pipeline(ctx, offers, target, e.resolve(opts))
+	return e.PipelineRouted(ctx, e.Partition(offers), target, opts...)
 }
 
-// pipelineWith is Pipeline under an explicit legacy Config — the bridge
-// the deprecated SchedulePipeline shim enters through.
-func (e *Engine) pipelineWith(ctx context.Context, offers []*FlexOffer, target Series, cfg Config) (*PipelineResult, error) {
-	return e.pipeline(ctx, offers, target, optionsOf(cfg))
-}
-
-// pipeline is the streaming chain under a resolved option set.
-func (e *Engine) pipeline(ctx context.Context, offers []*FlexOffer, target Series, o engineOptions) (*PipelineResult, error) {
+// PipelineRouted runs the paper's full Scenario-1 chain — group →
+// aggregate → schedule → disaggregate — over pre-routed parts as one
+// scatter-gather pipeline: per-shard sorting and per-group aggregation
+// fan out across the shard pools, the deterministic merge and the
+// greedy placement run at the gather point, and each finished
+// aggregate is placed as soon as its group index is next, so
+// aggregation of later groups overlaps placement of earlier ones. The
+// scheduled aggregates fan back out for disaggregation. The result is
+// identical to the materialized sequence Aggregate → Schedule (arrival
+// order) → Disaggregate for every configuration, and the engine's peak
+// cap applies exactly as in Schedule. Only OrderArrival placement is
+// supported (sched.ErrStreamOrder otherwise).
+func (e *Engine) PipelineRouted(ctx context.Context, parts [][]RoutedOffer, target Series, opts ...Option) (*PipelineResult, error) {
+	o := e.resolve(opts)
 	// The streaming scheduler supports arrival order only; fail before
 	// grouping and aggregating a whole fleet whose schedule can never
 	// start. ScheduleStream re-checks, so the two cannot drift.
 	if o.placement != OrderArrival {
 		return nil, sched.ErrStreamOrder
 	}
-	if o.incremental {
-		return e.pipelineIncremental(ctx, offers, target, o)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	// Cancelling on return releases the grouping and aggregation workers
-	// if scheduling or disaggregation aborts early.
+	// Cancelling on return releases the aggregation workers if
+	// scheduling or disaggregation aborts early.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pp := e.parallelParams(ParallelParams{Workers: o.workers, ErrorMode: o.errMode})
-	g := e.grouper(o)
-	var (
-		items <-chan AggregateStreamItem
-		n     int
-	)
-	if sg, ok := g.(grouping.Streamer); ok {
-		// Streaming entry: aggregation of the first shard's groups
-		// overlaps the packing of later shards; the group count arrives
-		// once the grouper has seen the whole input.
-		var nch <-chan int
-		if o.safe {
-			items, nch = aggregate.AggregateGrouperSafeStream(ctx, offers, sg, pp)
-		} else {
-			items, nch = aggregate.AggregateGrouperStream(ctx, offers, sg, pp)
-		}
-		got, ok := <-nch
-		if !ok {
-			// The grouper stopped before the count was known; only a
-			// cancelled ctx does that.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, errors.New("flex: grouping stream ended before the group count was known")
-		}
-		n = got
-	} else {
-		// A grouper without a streaming side (custom strategies,
-		// fallible ones) materializes its partition first.
-		groups, err := g.Group(ctx, offers)
-		if err != nil {
-			return nil, err
-		}
-		if o.safe {
-			items, n = aggregate.AggregateGroupsSafeStream(ctx, groups, pp)
-		} else {
-			items, n = aggregate.AggregateGroupsStream(ctx, groups, pp)
-		}
+	groups, err := e.scatterGroup(ctx, parts, o)
+	if err != nil {
+		return nil, err
 	}
+	obs.AddGroups(ctx, len(groups))
+	if o.incremental {
+		return e.pipelineIncremental(ctx, groups, target, o)
+	}
+	items, n := e.scatterAggregateStream(ctx, groups, o)
 	sr, err := sched.ScheduleStream(ctx, items, n, target, sched.Options{PeakCap: o.peakCap, Order: o.placement})
 	if err != nil {
 		return nil, err
 	}
-	// ScheduleStream returns once the last group is placed; the
-	// producer closes the stream (ending its aggregate span first)
-	// just after delivering it. Draining the already-exhausted channel
-	// waits for that close, so a finished trace never reports the
-	// aggregation stage of a successful pipeline as still running.
+	// ScheduleStream returns once the last group is placed; the merge
+	// goroutine closes the stream (ending the parent aggregate span
+	// first) just after delivering it. Draining the already-exhausted
+	// channel waits for that close, so a finished trace never reports
+	// the aggregation stage of a successful pipeline as still running.
 	for range items {
 	}
-	obs.AddGroups(ctx, n)
 	if err := ctx.Err(); err != nil {
 		// A cancellation racing the end of the group stream could
 		// deliver a truncated-but-consistent prefix; never present one
 		// as a complete schedule.
 		return nil, err
 	}
-	parts, err := aggregate.DisaggregateAllParallel(ctx, sr.Aggregates, sr.Assignments, pp)
+	disagg, err := e.scatterDisaggregate(ctx, sr.Aggregates, sr.Assignments, o)
 	if err != nil {
 		return nil, err
 	}
 	return &PipelineResult{
 		Aggregates:        sr.Aggregates,
 		AggregateSchedule: &sr.Result,
-		Disaggregated:     parts,
+		Disaggregated:     disagg,
 		Load:              sr.Load,
 	}, nil
 }
@@ -529,42 +537,35 @@ func (e *Engine) incrementalState() *inc.State {
 }
 
 // IncrementalStats reports the incremental-scheduling cache statistics
-// (all zero when WithIncremental was never used).
+// (all zero when WithIncremental was never used) — the numbers behind
+// flexd's flexd_sched_cache_hits_total and flexd_sched_dirty_groups.
 func (e *Engine) IncrementalStats() inc.Stats {
 	return e.incrementalState().Stats()
 }
 
 // InvalidateIncremental drops the incremental-scheduling cache — the
-// hook a store reset calls. The next incremental Pipeline call runs
-// full and rebuilds it. Never needed for correctness (the cache is
-// content-addressed), only to release memory promptly.
+// hook the server's store reset calls. The next incremental Pipeline
+// call runs full and rebuilds it. Never needed for correctness (the
+// cache is content-addressed), only to release memory promptly.
 func (e *Engine) InvalidateIncremental() {
 	e.incrementalState().Invalidate()
 }
 
 // pipelineIncremental is the stateful cached pipeline behind
-// WithIncremental: materialize the partition (grouping always runs —
-// it is a cheap integer sort and the source of group identity), key
-// every group against the cache, aggregate only the misses on the
-// worker pool, merge-walk the placement, and disaggregate only the
-// groups whose assignment changed. Bit-identical to the streaming
-// stateless path for every input.
-func (e *Engine) pipelineIncremental(ctx context.Context, offers []*FlexOffer, target Series, o engineOptions) (*PipelineResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	groups, err := e.grouper(o).Group(ctx, offers)
-	if err != nil {
-		return nil, err
-	}
-	obs.AddGroups(ctx, len(groups))
-	pp := e.parallelParams(ParallelParams{Workers: o.workers, ErrorMode: o.errMode})
+// WithIncremental: the partition comes from the scatter-gather
+// grouping stage exactly as in the stateless path (so group identity
+// is bit-identical across shard counts), every group is keyed against
+// the cache, aggregate-cache misses fan out across the shard pools in
+// contiguous blocks, the merge-walk placement runs at the gather
+// point, and only the groups whose assignment changed disaggregate.
+func (e *Engine) pipelineIncremental(ctx context.Context, groups [][]*FlexOffer, target Series, o engineOptions) (*PipelineResult, error) {
 	res, err := e.incrementalState().Run(ctx, groups, target,
 		inc.Config{PeakCap: o.peakCap, Safe: o.safe, Threshold: o.incThreshold},
 		func(ctx context.Context, gs [][]*FlexOffer) ([]*Aggregated, error) {
-			return e.aggregateGroups(ctx, gs, o)
+			return e.scatterAggregateGroups(ctx, gs, o)
 		},
 		func(ctx context.Context, ags []*Aggregated, asgs []Assignment) ([][]Assignment, error) {
-			return aggregate.DisaggregateAllParallel(ctx, ags, asgs, pp)
+			return e.scatterDisaggregate(ctx, ags, asgs, o)
 		})
 	if err != nil {
 		return nil, err
@@ -578,15 +579,13 @@ func (e *Engine) pipelineIncremental(ctx context.Context, offers []*FlexOffer, t
 }
 
 // Disaggregate maps scheduled aggregate assignments back to their
-// constituents on the worker pool: assignments[i] must be valid for
-// ags[i].Offer, and the result holds one assignment per constituent in
-// constituent order. Failures are reported under the engine's error
-// mode (overridable per call with WithErrorMode), keyed by aggregate
-// index.
+// constituents, fanned out in contiguous blocks across the shard
+// pools: assignments[i] must be valid for ags[i].Offer, and the result
+// holds one assignment per constituent in constituent order. Failures
+// are reported under the engine's error mode (overridable per call
+// with WithErrorMode), keyed by aggregate index.
 func (e *Engine) Disaggregate(ctx context.Context, ags []*Aggregated, assignments []Assignment, opts ...Option) ([][]Assignment, error) {
-	o := e.resolve(opts)
-	pp := e.parallelParams(ParallelParams{Workers: o.workers, ErrorMode: o.errMode})
-	return aggregate.DisaggregateAllParallel(ctx, ags, assignments, pp)
+	return e.scatterDisaggregate(ctx, ags, assignments, e.resolve(opts))
 }
 
 // MeasureTable is Engine.Measures' output: the paper's eight measures
@@ -605,9 +604,10 @@ type MeasureTable struct {
 
 // Measures evaluates the paper's eight flexibility measures on every
 // offer — the vector and series measures under the engine's norm,
-// overridable per call with WithNorm — plus the set-level values,
-// fanning the offers across the worker pool. Undefined values are
-// reported as NaN rather than failing the batch.
+// overridable per call with WithNorm — plus the set-level values. The
+// per-offer rows fan out in contiguous blocks across the shard pools;
+// the set-level row is computed at the gather point. Undefined values
+// are reported as NaN rather than failing the batch.
 func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Option) (*MeasureTable, error) {
 	o := e.resolve(opts)
 	if err := ctx.Err(); err != nil {
@@ -623,21 +623,23 @@ func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Opti
 		t.Names[j] = m.Name()
 	}
 	done := ctx.Done()
-	e.runIndexed(len(offers), func(i int) {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		row := make([]float64, len(ms))
-		for j, m := range ms {
-			v, err := m.Value(offers[i])
-			if err != nil {
-				v = math.NaN()
+	e.forBlocks(len(offers), func(k, lo, hi int) {
+		e.runIndexed(k, hi-lo, func(i int) {
+			select {
+			case <-done:
+				return
+			default:
 			}
-			row[j] = v
-		}
-		t.Values[i] = row
+			row := make([]float64, len(ms))
+			for j, m := range ms {
+				v, err := m.Value(offers[lo+i])
+				if err != nil {
+					v = math.NaN()
+				}
+				row[j] = v
+			}
+			t.Values[lo+i] = row
+		})
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -650,6 +652,12 @@ func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Opti
 		t.Set[j] = v
 	}
 	return t, nil
+}
+
+// MeasuresRouted is Measures over pre-routed parts, flattened back
+// into store order (rows are order-sensitive output).
+func (e *Engine) MeasuresRouted(ctx context.Context, parts [][]RoutedOffer, opts ...Option) (*MeasureTable, error) {
+	return e.Measures(ctx, shard.Flatten(parts), opts...)
 }
 
 // measureSet is AllMeasures with the given norm applied to the vector
@@ -666,34 +674,4 @@ func measureSet(n Norm) []Measure {
 		core.AbsoluteAreaMeasure{},
 		core.RelativeAreaMeasure{},
 	}
-}
-
-// runIndexed fans fn(i) over [0, n) across the engine's pool, or runs
-// it inline on a serial engine.
-func (e *Engine) runIndexed(n int, fn func(int)) {
-	if e.pool != nil {
-		e.pool.ForEach(n, 0, 0, fn)
-		return
-	}
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-// The default engine behind the deprecated free functions: created
-// lazily on first use with default options, never closed. Its pool is
-// shared by every shim call, so legacy callers get the persistent-pool
-// execution model without code changes.
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// Default returns the lazily-created, process-wide engine the
-// deprecated free functions route through. Prefer constructing your own
-// Engine with New — it gives you option control and a Close — but the
-// default engine is the right tool for one-off calls in short programs.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = New() })
-	return defaultEngine
 }

@@ -7,21 +7,16 @@ import (
 	"sync"
 	"testing"
 
-	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/sched"
 )
 
-// TestEngineShardedGrouperForced drives the engine's aggregation
-// through the full sharding machinery (MinOffers: -1 disables the
-// small-input fallback) and requires the output to stay bit-identical
-// to the serial free function for every worker count — the acceptance
-// criterion at the engine level.
+// TestEngineShardedGrouperForced installs the ShardedGrouper on the
+// engine's pool with the full segmenting machinery forced (MinOffers:
+// -1 disables the small-input fallback) and requires the output to stay
+// bit-identical to the serial oracle for every worker count.
 func TestEngineShardedGrouperForced(t *testing.T) {
 	offers, _ := engineTestFleet(t, 400)
-	want, err := AggregateAll(offers, engineTestGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialAggregates(t, offers, engineTestGroup, false)
 	for _, workers := range []int{1, 2, 3, 8} {
 		eng := New(WithWorkers(workers), WithGrouping(engineTestGroup))
 		g := &ShardedGrouper{Params: engineTestGroup, Pool: eng.Executor(), Workers: workers, MinOffers: -1}
@@ -31,7 +26,7 @@ func TestEngineShardedGrouperForced(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: forced-sharded Engine.Aggregate diverged from AggregateAll", workers)
+			t.Fatalf("workers=%d: forced-sharded Engine.Aggregate diverged from the serial oracle", workers)
 		}
 	}
 }
@@ -56,10 +51,7 @@ func TestEngineWithGrouperBalance(t *testing.T) {
 		t.Fatal("WithGrouper(Balance) diverged from BalanceGroups → AggregateGroups")
 	}
 	// WithGrouping as a per-call override replaces the custom grouper.
-	wantThreshold, err := AggregateAll(offers, engineTestGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantThreshold := serialAggregates(t, offers, engineTestGroup, false)
 	gotThreshold, err := eng.Aggregate(context.Background(), offers, WithGrouping(engineTestGroup))
 	if err != nil {
 		t.Fatal(err)
@@ -70,23 +62,18 @@ func TestEngineWithGrouperBalance(t *testing.T) {
 }
 
 // TestEnginePipelineGrouperBranches checks that the pipeline's two
-// entry branches — the streaming grouper (the default sharded one) and
-// a materialize-first custom grouper with the same partition — produce
-// bit-identical results, which also pins the new streaming entry
-// against the legacy SchedulePipeline output.
+// entry branches — the built-in scatter-gather grouping and a custom
+// grouper with the same partition — produce bit-identical results,
+// both equal to the serial oracle.
 func TestEnginePipelineGrouperBranches(t *testing.T) {
 	offers, target := engineTestFleet(t, 300)
-	want, err := SchedulePipeline(context.Background(), offers, target,
-		Config{Group: engineTestGroup, Workers: 1, Safe: true, PeakCap: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialPipeline(t, offers, target, engineTestGroup, true, 40)
 	for _, workers := range []int{1, 3} {
 		eng := New(WithWorkers(workers), WithGrouping(engineTestGroup), WithSafe(true), WithPeakCap(40))
-		streaming, err := eng.Pipeline(context.Background(), offers, target)
+		builtin, err := eng.Pipeline(context.Background(), offers, target)
 		if err != nil {
 			eng.Close()
-			t.Fatalf("workers=%d streaming: %v", workers, err)
+			t.Fatalf("workers=%d built-in: %v", workers, err)
 		}
 		materialized, err := eng.Pipeline(context.Background(), offers, target,
 			WithGrouper(ThresholdGrouper{Params: engineTestGroup}))
@@ -94,11 +81,11 @@ func TestEnginePipelineGrouperBranches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d materialized: %v", workers, err)
 		}
-		if !reflect.DeepEqual(want, streaming) {
-			t.Fatalf("workers=%d: streaming-grouper Pipeline diverged from SchedulePipeline", workers)
+		if !reflect.DeepEqual(want, builtin) {
+			t.Fatalf("workers=%d: built-in grouping Pipeline diverged from the serial oracle", workers)
 		}
 		if !reflect.DeepEqual(want, materialized) {
-			t.Fatalf("workers=%d: materialized-grouper Pipeline diverged from SchedulePipeline", workers)
+			t.Fatalf("workers=%d: custom-grouper Pipeline diverged from the serial oracle", workers)
 		}
 	}
 }
@@ -146,17 +133,9 @@ func TestEngineGroupingConcurrentHammer(t *testing.T) {
 	}
 	wantAgs := make([][]*Aggregated, len(tols))
 	for i, gp := range tols {
-		ags, err := AggregateAll(offers, gp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantAgs[i] = ags
+		wantAgs[i] = serialAggregates(t, offers, gp, false)
 	}
-	wantPipe, err := SchedulePipeline(ctx, offers, target,
-		Config{Group: engineTestGroup, Workers: 1, Safe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantPipe := serialPipeline(t, offers, target, engineTestGroup, true, 0)
 
 	eng := New(WithWorkers(4), WithGrouping(engineTestGroup), WithSafe(true))
 	defer eng.Close()
@@ -172,8 +151,8 @@ func TestEngineGroupingConcurrentHammer(t *testing.T) {
 				i := (g + r) % len(tols)
 				switch (g + r) % 3 {
 				case 0:
-					// Per-call tolerance override through the default
-					// sharded grouper.
+					// Per-call tolerance override through the built-in
+					// scatter-gather grouping.
 					got, err := eng.Aggregate(ctx, offers, WithGrouping(tols[i]), WithSafe(false))
 					if err != nil {
 						t.Errorf("Aggregate: %v", err)
@@ -212,8 +191,9 @@ func TestEngineGroupingConcurrentHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineGrouperStreamCancelled checks that cancelling mid-pipeline
-// surfaces the context error rather than a truncated result.
+// TestEngineGrouperStreamCancelled checks that a cancelled pipeline
+// surfaces the context error rather than a truncated result, through
+// the built-in grouping and through a custom grouper alike.
 func TestEngineGrouperStreamCancelled(t *testing.T) {
 	offers, target := engineTestFleet(t, 200)
 	eng := New(WithWorkers(2), WithGrouping(engineTestGroup), WithSafe(true))
@@ -223,8 +203,8 @@ func TestEngineGrouperStreamCancelled(t *testing.T) {
 	if _, err := eng.Pipeline(ctx, offers, target); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Pipeline returned %v, want context.Canceled", err)
 	}
+	sg := &ShardedGrouper{Params: engineTestGroup, Pool: eng.Executor(), MinOffers: -1}
+	if _, err := eng.Pipeline(ctx, offers, target, WithGrouper(sg)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled custom-grouper Pipeline returned %v, want context.Canceled", err)
+	}
 }
-
-// Compile-time check: the default grouper streams, so the pipeline's
-// streaming entry is exercised by every default-configured engine.
-var _ grouping.Streamer = (*ShardedGrouper)(nil)

@@ -5,37 +5,27 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"flexmeasures/internal/sched"
 )
 
 // TestEngineConcurrentHammer is the Engine's goroutine-safety contract
 // under -race: one engine is hammered from many goroutines with a mix
 // of Aggregate, Pipeline, Measures, Schedule and Disaggregate calls,
-// and every result must be identical to the serial free-function
-// baseline — concurrent calls share the pool but must never share or
-// corrupt per-call state.
+// and every result must be identical to the serial oracle — concurrent
+// calls share the pool but must never share or corrupt per-call state.
 func TestEngineConcurrentHammer(t *testing.T) {
 	offers, target := engineTestFleet(t, 150)
 	ctx := context.Background()
 
-	// Serial baselines through the legacy free functions.
-	wantAgs, err := AggregateAllSafe(offers, engineTestGroup)
+	// Serial baselines from the stateless oracle.
+	wantAgs := serialAggregates(t, offers, engineTestGroup, true)
+	wantPipe := serialPipeline(t, offers, target, engineTestGroup, true, 45)
+	wantSched, err := sched.Schedule(offers, target, sched.Options{PeakCap: 45})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPipe, err := SchedulePipeline(ctx, offers, target,
-		Config{Group: engineTestGroup, Workers: 1, Safe: true, PeakCap: 45})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSched, err := Schedule(offers, target, ScheduleOptions{PeakCap: 45})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantParts, err := DisaggregateAllParallel(ctx, wantPipe.Aggregates,
-		wantPipe.AggregateSchedule.Assignments, ParallelParams{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantParts := wantPipe.Disaggregated
 
 	eng := New(WithWorkers(4), WithGrouping(engineTestGroup), WithSafe(true), WithPeakCap(45))
 	defer eng.Close()

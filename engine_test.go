@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"flexmeasures/internal/sched"
 )
 
 // engineTestFleet builds a reproducible mixed population and a wind
@@ -30,14 +32,11 @@ func engineTestFleet(t testing.TB, n int) ([]*FlexOffer, Series) {
 var engineTestGroup = GroupParams{ESTTolerance: 3, TFTolerance: -1, MaxGroupSize: 24}
 
 // TestEngineAggregateEquivalence pins the acceptance criterion that the
-// Engine's aggregation output is bit-identical to the legacy serial
-// free function for every worker count.
+// Engine's aggregation output is bit-identical to the serial oracle for
+// every worker count.
 func TestEngineAggregateEquivalence(t *testing.T) {
 	offers, _ := engineTestFleet(t, 300)
-	want, err := AggregateAll(offers, engineTestGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialAggregates(t, offers, engineTestGroup, false)
 	for _, workers := range []int{1, 2, 3, 5, 8} {
 		eng := New(WithWorkers(workers), WithGrouping(engineTestGroup))
 		got, err := eng.Aggregate(context.Background(), offers)
@@ -46,22 +45,18 @@ func TestEngineAggregateEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: Engine.Aggregate diverged from AggregateAll", workers)
+			t.Fatalf("workers=%d: Engine.Aggregate diverged from the serial oracle", workers)
 		}
 	}
 }
 
 // TestEnginePipelineEquivalence pins the same criterion for the full
-// chain: Engine.Pipeline must reproduce the legacy SchedulePipeline's
-// serial output — aggregates, schedule, disaggregation and load — for
-// every worker count.
+// chain: Engine.Pipeline must reproduce the serial oracle's output —
+// aggregates, schedule, disaggregation and load — for every worker
+// count.
 func TestEnginePipelineEquivalence(t *testing.T) {
 	offers, target := engineTestFleet(t, 300)
-	want, err := SchedulePipeline(context.Background(), offers, target,
-		Config{Group: engineTestGroup, Workers: 1, Safe: true, PeakCap: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialPipeline(t, offers, target, engineTestGroup, true, 40)
 	for _, workers := range []int{1, 2, 3, 5, 8} {
 		eng := New(WithWorkers(workers), WithGrouping(engineTestGroup), WithSafe(true), WithPeakCap(40))
 		got, err := eng.Pipeline(context.Background(), offers, target)
@@ -70,17 +65,17 @@ func TestEnginePipelineEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: Engine.Pipeline diverged from SchedulePipeline", workers)
+			t.Fatalf("workers=%d: Engine.Pipeline diverged from the serial oracle", workers)
 		}
 	}
 }
 
 // TestEngineScheduleEquivalence checks Engine.Schedule against the
-// legacy free function, cap included.
+// serial scheduler, cap included.
 func TestEngineScheduleEquivalence(t *testing.T) {
 	offers, target := engineTestFleet(t, 120)
 	for _, cap := range []int64{0, 50} {
-		want, err := Schedule(offers, target, ScheduleOptions{PeakCap: cap})
+		want, err := sched.Schedule(offers, target, sched.Options{PeakCap: cap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,13 +86,13 @@ func TestEngineScheduleEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("cap=%d: Engine.Schedule diverged from Schedule", cap)
+			t.Fatalf("cap=%d: Engine.Schedule diverged from sched.Schedule", cap)
 		}
 	}
 }
 
-// TestEnginePeakCapConsistentAcrossPaths pins the Config.PeakCap fix:
-// one engine option set must apply the same cap whether the aggregates
+// TestEnginePeakCapConsistentAcrossPaths pins that one engine option
+// set applies the same cap whether the aggregates
 // are scheduled through Pipeline or handed to Schedule directly, so the
 // two paths can never silently disagree.
 func TestEnginePeakCapConsistentAcrossPaths(t *testing.T) {
@@ -125,15 +120,15 @@ func TestEnginePeakCapConsistentAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestEngineImproveEquivalence checks Engine.Improve against the legacy
-// free function.
+// TestEngineImproveEquivalence checks Engine.Improve against the
+// serial local search.
 func TestEngineImproveEquivalence(t *testing.T) {
 	offers, target := engineTestFleet(t, 80)
-	base, err := Schedule(offers, target, ScheduleOptions{})
+	base, err := sched.Schedule(offers, target, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Improve(offers, target, base, 2)
+	want, err := sched.Improve(offers, target, base, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +139,12 @@ func TestEngineImproveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("Engine.Improve diverged from Improve")
+		t.Error("Engine.Improve diverged from sched.Improve")
 	}
 }
 
 // TestEngineDisaggregateEquivalence checks Engine.Disaggregate against
-// the legacy parallel free function in serial mode.
+// the serial per-aggregate oracle, on one shard and on several.
 func TestEngineDisaggregateEquivalence(t *testing.T) {
 	offers, target := engineTestFleet(t, 200)
 	eng := New(WithWorkers(4), WithGrouping(engineTestGroup), WithSafe(true))
@@ -166,16 +161,22 @@ func TestEngineDisaggregateEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DisaggregateAllParallel(context.Background(), ags, sr.Assignments, ParallelParams{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialDisaggregate(t, ags, sr.Assignments)
 	got, err := eng.Disaggregate(context.Background(), ags, sr.Assignments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("Engine.Disaggregate diverged from DisaggregateAllParallel")
+		t.Error("Engine.Disaggregate diverged from the serial oracle")
+	}
+	sharded := NewSharded(3, WithWorkers(2))
+	defer sharded.Close()
+	got, err = sharded.Disaggregate(context.Background(), ags, sr.Assignments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("3-shard Engine.Disaggregate diverged from the serial oracle")
 	}
 }
 
@@ -335,10 +336,7 @@ func TestEngineCancelledContext(t *testing.T) {
 // produce correct results (on the calling goroutine).
 func TestEngineCloseDegradesGracefully(t *testing.T) {
 	offers, _ := engineTestFleet(t, 100)
-	want, err := AggregateAll(offers, engineTestGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialAggregates(t, offers, engineTestGroup, false)
 	eng := New(WithWorkers(4), WithGrouping(engineTestGroup))
 	eng.Close()
 	eng.Close() // idempotent
@@ -347,7 +345,7 @@ func TestEngineCloseDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("Aggregate after Close diverged from AggregateAll")
+		t.Error("Aggregate after Close diverged from the serial oracle")
 	}
 }
 
@@ -362,8 +360,13 @@ func TestEngineWorkers(t *testing.T) {
 	if pooled.Workers() != 5 {
 		t.Errorf("pooled engine Workers() = %d, want 5", pooled.Workers())
 	}
-	if Default() != Default() {
-		t.Error("Default() is not a singleton")
+	sharded := NewSharded(3, WithWorkers(2))
+	defer sharded.Close()
+	if sharded.Shards() != 3 || sharded.Workers() != 2 {
+		t.Errorf("NewSharded(3, WithWorkers(2)): Shards() = %d, Workers() = %d, want 3, 2", sharded.Shards(), sharded.Workers())
+	}
+	if serial.Shards() != 1 || pooled.Shards() != 1 {
+		t.Error("New must build a one-shard engine")
 	}
 }
 
@@ -396,10 +399,7 @@ func TestEnginePerCallOverrides(t *testing.T) {
 
 	// The override must not stick: the next plain call uses the
 	// engine's own grouping again.
-	want, err := AggregateAllSafe(offers, engineTestGroup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialAggregates(t, offers, engineTestGroup, true)
 	got, err := shared.Aggregate(context.Background(), offers)
 	if err != nil {
 		t.Fatal(err)
@@ -494,5 +494,13 @@ func TestEnginePoolStats(t *testing.T) {
 	}
 	if pooled.Executor() == nil {
 		t.Error("pooled engine must expose its pool as an Executor")
+	}
+	sharded := NewSharded(2, WithWorkers(3))
+	defer sharded.Close()
+	if w, _ := sharded.PoolStats(); w != 6 {
+		t.Errorf("2-shard PoolStats() workers = %d, want 6 (summed across shards)", w)
+	}
+	if w, b := sharded.ShardPoolStats(1); w != 3 || b != 0 {
+		t.Errorf("ShardPoolStats(1) = (%d,%d), want (3,0)", w, b)
 	}
 }

@@ -22,7 +22,7 @@
 //
 // The primary entry point is the Engine: one long-lived,
 // goroutine-safe object, configured once with functional options, that
-// owns a persistent worker pool and presents every batch operation as a
+// owns persistent worker pools and presents every batch operation as a
 // context-first method:
 //
 //	eng := flex.New(
@@ -38,8 +38,8 @@
 //	tab, err := eng.Measures(ctx, offers)           // the paper's eight measures
 //
 // Create one Engine at startup, share it across requests (concurrent
-// calls share the pool without sharing per-call state), and Close it on
-// shutdown. One option set governs every method — WithPeakCap, for
+// calls share the pools without sharing per-call state), and Close it
+// on shutdown. One option set governs every method — WithPeakCap, for
 // example, applies to Schedule and Pipeline alike — so the same setting
 // can never silently differ between paths. Any method also accepts
 // per-call options that override the engine's set for that one call
@@ -48,47 +48,35 @@
 // BalanceGroups or OptimizeGroups — go straight to
 // Engine.AggregateGroups.
 //
-// Every stage of the chain is parallel, grouping included: the
-// pipeline's entry stage is a pluggable Grouper (internal/grouping),
-// and the engine's default — the sharded threshold grouper — sorts the
-// offers with a parallel merge sort, cuts the sorted order into
-// independent shards at every earliest-start gap wider than the
-// tolerance, and packs the shards concurrently on the pool,
-// bit-identical to the serial GroupOffers for every worker count.
-// WithGrouper installs another strategy (BalanceGrouper,
-// OptimizeGrouper, or your own); WithGrouping tunes the default's
-// tolerances. Aggregation across groups is embarrassingly parallel, so
-// Engine.Aggregate shards the grouping output across the pool and still
-// yields results identical to the serial path in the same group order
-// for every worker count; per-group failures are reported as GroupError
-// (first-error mode) or GroupErrors (collect-all mode), each
-// identifying the failing group by index, size and first constituent
-// ID. Engine.Pipeline chains the paper's entire Scenario 1 — group →
-// aggregate → schedule → disaggregate — without materializing any
-// stage's batch: each packed shard's groups go straight to the
-// aggregation workers, each finished aggregate is handed straight to
-// the scheduler, which places it the moment its group index is next,
-// and the scheduled aggregates fan back out to per-prosumer assignments
-// on the same pool. The scheduler scores every candidate start in
-// O(profile) with zero allocations via an incremental load−target
-// residual (timeseries.Accumulator); ScheduleOptions.FullRecompute
-// retains the legacy full-recompute evaluator as an equivalence oracle,
-// for scheduling and for the Improve local search alike.
+// An engine is split into shards, each owning one worker pool: New
+// builds one shard, NewSharded(n) builds n, and a shard router (grid
+// zone, prosumer ID hash, or round-robin) spreads the offers across
+// them. Every stage of the chain runs scatter-gather over the shards,
+// grouping included: each shard stable-sorts its part by (earliest
+// start, time flexibility) with a parallel merge sort, the runs are
+// k-way merged into the global grouping order, and the merged order is
+// cut into independent segments at every earliest-start gap wider than
+// the tolerance and packed concurrently — bit-identical to the serial
+// GroupOffers for every shard and worker count. WithGrouper installs
+// another strategy (ShardedGrouper, BalanceGrouper, OptimizeGrouper, or
+// your own); WithGrouping tunes the built-in tolerances. Aggregation
+// across groups is embarrassingly parallel, so Engine.Aggregate fans
+// the groups across the pools in contiguous blocks and still yields
+// results identical to the serial path in the same group order;
+// per-group failures are reported as GroupError (first-error mode) or
+// GroupErrors (collect-all mode), each identifying the failing group by
+// index, size and first constituent ID. Engine.Pipeline chains the
+// paper's entire Scenario 1 — group → aggregate → schedule →
+// disaggregate — without materializing the aggregate batch: each
+// finished aggregate is handed straight to the scheduler, which places
+// it the moment its group index is next, and the scheduled aggregates
+// fan back out to per-prosumer assignments on the same pools. The
+// scheduler scores every candidate start in O(profile) with zero
+// allocations via an incremental load−target residual
+// (timeseries.Accumulator).
 //
-// # Deprecated free functions
-//
-// The batch operations used to be free functions — AggregateAll,
-// AggregateAllParallel(Ctx), AggregateWithConfig, AggregateAllStream,
-// SchedulePipeline, Schedule, Improve, DisaggregateAllParallel — the
-// parallel ones each spinning a goroutine pool up and down per call.
-// They all still work as thin deprecated shims: the parallel and
-// streaming ones borrow the shared Default engine's persistent pool,
-// the inherently serial ones (AggregateAll, AggregateAllSafe, Schedule,
-// Improve, ScheduleAndImprove) stay serial and never instantiate the
-// Default engine. Their outputs remain bit-identical to the
-// corresponding Engine methods; new code should construct an Engine.
 // The per-offer primitives (constructors, the measure functions,
-// market valuation, workload generation, codecs) are not deprecated.
+// market valuation, workload generation, codecs) are free functions.
 //
 // # Quick start
 //
@@ -278,20 +266,21 @@ type (
 	// Aggregated couples an aggregate flex-offer with its constituents.
 	Aggregated = aggregate.Aggregated
 	// GroupParams controls similarity-based grouping.
-	GroupParams = aggregate.GroupParams
+	GroupParams = grouping.Params
 	// BalanceParams controls balance-aware grouping.
-	BalanceParams = aggregate.BalanceParams
+	BalanceParams = grouping.BalanceParams
 	// Grouper is a pluggable partitioning strategy — the entry stage of
 	// the pipeline. Install one on an Engine with WithGrouper; the
 	// grouping package ships the implementations.
 	Grouper = grouping.Grouper
-	// ShardedGrouper is the parallel threshold strategy: offers are
-	// stably sorted by (earliest start, time flexibility) with a
-	// parallel merge sort, cut into independent shards at every
-	// earliest-start gap wider than the tolerance, and greedily packed
-	// per shard — bit-identical to GroupOffers for every worker count.
-	// Engines run it by default; construct one directly (optionally
-	// with Pool set to an Engine's Executor) to tune its thresholds.
+	// ShardedGrouper is the parallel threshold strategy over one
+	// offer slice: offers are stably sorted by (earliest start, time
+	// flexibility) with a parallel merge sort, cut into independent
+	// segments at every earliest-start gap wider than the tolerance,
+	// and greedily packed per segment — bit-identical to GroupOffers
+	// for every worker count. Install it with WithGrouper (optionally
+	// with Pool set to an Engine's Executor) to group outside the
+	// engine's shard routing.
 	ShardedGrouper = grouping.Sharded
 	// ThresholdGrouper is the serial threshold strategy (the
 	// ShardedGrouper's oracle).
@@ -312,33 +301,21 @@ func Aggregate(group []*FlexOffer) (*Aggregated, error) { return aggregate.Aggre
 
 // GroupOffers partitions offers into aggregation-compatible groups.
 func GroupOffers(offers []*FlexOffer, p GroupParams) [][]*FlexOffer {
-	return aggregate.Group(offers, p)
+	return grouping.Group(offers, p)
 }
 
 // BalanceGroups partitions offers into groups mixing production and
 // consumption so each aggregate nets out near zero (reference [14]).
 func BalanceGroups(offers []*FlexOffer, p BalanceParams) [][]*FlexOffer {
-	return aggregate.BalanceGroups(offers, p)
+	return grouping.BalanceGroups(offers, p)
 }
 
-// AggregateAll groups and aggregates in one call.
-//
-// Deprecated: create a long-lived [Engine] with [New] (configuring the
-// grouping via [WithGrouping] and [WithWorkers](1) for the serial
-// path) and call [Engine.Aggregate]. This shim stays fully serial — it
-// does not instantiate the [Default] engine.
-func AggregateAll(offers []*FlexOffer, p GroupParams) ([]*Aggregated, error) {
-	return aggregate.AggregateAll(offers, p)
-}
-
-// Parallel aggregation pipeline types; see the aggregate package for the
-// scheduling and determinism guarantees.
+// Parallel execution and failure-reporting types; see the aggregate
+// package for the determinism guarantees.
 type (
-	// ParallelParams controls the aggregation worker pool.
-	ParallelParams = aggregate.ParallelParams
-	// Executor is the execution substrate of a parallel call
-	// (ParallelParams.Pool): an Engine's persistent pool implements
-	// it, nil means per-call goroutine spin-up.
+	// Executor is the execution substrate of a parallel stage: an
+	// Engine's persistent pool implements it, nil means per-call
+	// goroutine spin-up.
 	Executor = aggregate.Executor
 	// ErrorMode selects first-error or collect-all failure reporting.
 	ErrorMode = aggregate.ErrorMode
@@ -353,139 +330,6 @@ const (
 	FirstError = aggregate.FirstError
 	CollectAll = aggregate.CollectAll
 )
-
-// AggregateAllParallel is AggregateAll executed by a worker pool; the
-// result is identical to AggregateAll for every worker count.
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Aggregate]; this shim borrows the shared [Default] engine's
-// persistent pool instead of spinning up goroutines per call.
-func AggregateAllParallel(offers []*FlexOffer, gp GroupParams, pp ParallelParams) ([]*Aggregated, error) {
-	return AggregateAllParallelCtx(context.Background(), offers, gp, pp)
-}
-
-// AggregateAllParallelCtx is AggregateAllParallel with cancellation.
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Aggregate]; this shim borrows the shared [Default] engine's
-// persistent pool instead of spinning up goroutines per call.
-func AggregateAllParallelCtx(ctx context.Context, offers []*FlexOffer, gp GroupParams, pp ParallelParams) ([]*Aggregated, error) {
-	return aggregate.AggregateAllParallelCtx(ctx, offers, gp, Default().parallelParams(pp))
-}
-
-// Config bundles the options of the legacy one-call entry points
-// AggregateWithConfig and SchedulePipeline. It is the per-call
-// counterpart of an Engine's option set — New's functional options
-// cover exactly these fields — and the engine applies one Config-shaped
-// option set uniformly across all its methods, so a setting like
-// PeakCap can never differ between the scheduling paths.
-//
-// Deprecated: configure a long-lived [Engine] with [New]'s options
-// ([WithGrouping], [WithWorkers], [WithErrorMode], [WithSafe],
-// [WithPeakCap]) instead.
-type Config struct {
-	// Group controls similarity-based grouping.
-	Group GroupParams
-	// Workers sizes the aggregation worker pool: 0 means one worker
-	// per logical CPU, 1 forces the serial pipeline, and larger values
-	// fan the groups out across that many goroutines.
-	Workers int
-	// ErrorMode selects first-error or collect-all failure reporting.
-	// Collect-all is honored for every Workers value, including the
-	// serial Workers == 1 path.
-	ErrorMode ErrorMode
-	// Safe tightens every constituent's totals into its slice bounds
-	// before aggregating (AggregateSafe), guaranteeing that every valid
-	// aggregate assignment disaggregates.
-	Safe bool
-	// PeakCap, when positive, makes the scheduler treat |load| above
-	// the cap as prohibitively expensive (soft cap; see
-	// ScheduleOptions.PeakCap). Of the legacy entry points only
-	// SchedulePipeline schedules, so only it consults the cap; on an
-	// Engine the equivalent option (WithPeakCap) applies to Schedule
-	// and Pipeline alike.
-	PeakCap int64
-}
-
-// AggregateWithConfig groups and aggregates under cfg, routing to the
-// serial or parallel pipeline according to cfg.Workers. A cancelled ctx
-// is honored on both routes (the serial pipeline checks it up front;
-// the parallel one also stops claiming groups mid-batch).
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Aggregate]; this shim borrows the shared [Default] engine's
-// persistent pool instead of spinning up goroutines per call.
-func AggregateWithConfig(ctx context.Context, offers []*FlexOffer, cfg Config) ([]*Aggregated, error) {
-	return Default().aggregateWith(ctx, offers, cfg)
-}
-
-// AggregateStreamItem is one completed group of a streaming
-// aggregation: items arrive in completion order and Index identifies
-// the group in grouping order.
-type AggregateStreamItem = aggregate.StreamItem
-
-// AggregateAllStream groups and aggregates concurrently, emitting each
-// aggregate as soon as its worker finishes it; the returned count tells
-// the consumer how many items to expect. The streaming input side of
-// the pipeline, exposed for consumers with their own placement logic.
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Pipeline] for the full chain; this shim borrows the shared
-// [Default] engine's persistent pool.
-func AggregateAllStream(ctx context.Context, offers []*FlexOffer, gp GroupParams, pp ParallelParams) (<-chan AggregateStreamItem, int) {
-	return aggregate.AggregateAllStream(ctx, offers, gp, Default().parallelParams(pp))
-}
-
-// DisaggregateAllParallel maps scheduled aggregate assignments back to
-// their constituents concurrently: assignments[i] must be valid for
-// ags[i].Offer, and the result holds one assignment per constituent in
-// constituent order. Failure reporting follows pp.ErrorMode exactly
-// like the aggregation pipeline.
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Disaggregate]; this shim borrows the shared [Default]
-// engine's persistent pool.
-func DisaggregateAllParallel(ctx context.Context, ags []*Aggregated, assignments []Assignment, pp ParallelParams) ([][]Assignment, error) {
-	return aggregate.DisaggregateAllParallel(ctx, ags, assignments, Default().parallelParams(pp))
-}
-
-// PipelineResult is the output of SchedulePipeline: the complete
-// Scenario-1 chain from raw offers to per-prosumer assignments.
-type PipelineResult struct {
-	// Aggregates holds the aggregated groups in group order.
-	Aggregates []*Aggregated
-	// AggregateSchedule is the schedule of the aggregates:
-	// AggregateSchedule.Assignments[i] instantiates Aggregates[i].Offer.
-	AggregateSchedule *ScheduleResult
-	// Disaggregated[i][j] is the assignment of
-	// Aggregates[i].Constituents[j]. Disaggregation preserves slot-wise
-	// sums, so the constituent assignments reproduce Load exactly.
-	Disaggregated [][]Assignment
-	// Load is the slot-wise total load of the schedule.
-	Load Series
-}
-
-// SchedulePipeline runs the paper's full Scenario-1 chain — group →
-// aggregate → schedule → disaggregate — as one streaming pipeline:
-// aggregation workers (cfg.Workers, one per CPU when 0) hand each
-// finished aggregate straight to the scheduler, which places it as soon
-// as its group index is next, overlapping aggregation CPU with
-// placement instead of materializing the full aggregate batch first;
-// the scheduled aggregates are then disaggregated by the same worker
-// pool. The resulting schedule is identical to the materialized
-// sequence AggregateWithConfig → Schedule (arrival order) →
-// Disaggregate for every worker count.
-//
-// Scheduling uses arrival (group) order and the incremental evaluator;
-// cfg.PeakCap applies a soft peak cap, and cfg.Safe guarantees
-// disaggregability by tightening constituents before aggregation.
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Pipeline]; this shim borrows the shared [Default] engine's
-// persistent pool instead of spinning up goroutines per call.
-func SchedulePipeline(ctx context.Context, offers []*FlexOffer, target Series, cfg Config) (*PipelineResult, error) {
-	return Default().pipelineWith(ctx, offers, target, cfg)
-}
 
 // Alignment selects the anchoring of constituents inside an aggregate
 // (AlignEarliest or AlignLatest).
@@ -504,29 +348,19 @@ func AggregateAligned(group []*FlexOffer, al Alignment) (*Aggregated, error) {
 
 // AggregateSafe aggregates after tightening total constraints into the
 // slice bounds, guaranteeing that every valid aggregate assignment
-// disaggregates; AggregateAllSafe is the grouped form.
+// disaggregates; WithSafe applies it to every group of an Engine.
 func AggregateSafe(group []*FlexOffer) (*Aggregated, error) {
 	return aggregate.AggregateSafe(group)
 }
 
-// AggregateAllSafe groups and safe-aggregates in one call.
-//
-// Deprecated: create a long-lived [Engine] with [New] (configuring
-// [WithGrouping], [WithSafe](true) and [WithWorkers](1) for the serial
-// path) and call [Engine.Aggregate]. This shim stays fully serial — it
-// does not instantiate the [Default] engine.
-func AggregateAllSafe(offers []*FlexOffer, p GroupParams) ([]*Aggregated, error) {
-	return aggregate.AggregateAllSafe(offers, p)
-}
-
 // OptimizeParams controls loss-bounded optimizing aggregation.
-type OptimizeParams = aggregate.OptimizeParams
+type OptimizeParams = grouping.OptimizeParams
 
 // OptimizeGroups partitions offers by greedy agglomerative merging under
 // a relative flexibility-loss bound — the paper's Section 6 future work
 // of performing aggregation jointly with flexibility optimization.
 func OptimizeGroups(offers []*FlexOffer, p OptimizeParams) ([][]*FlexOffer, error) {
-	return aggregate.OptimizeGroups(offers, p)
+	return aggregate.Optimizer(p).Group(context.Background(), offers)
 }
 
 // RetainedFraction reports the share of the constituents' flexibility

@@ -106,9 +106,11 @@ func TestPublicAPIAggregation(t *testing.T) {
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d, want 1", len(groups))
 	}
-	ags, err := AggregateAll([]*FlexOffer{a, b}, GroupParams{ESTTolerance: 4, TFTolerance: -1})
+	eng := New(WithWorkers(1), WithGrouping(GroupParams{ESTTolerance: 4, TFTolerance: -1}))
+	defer eng.Close()
+	ags, err := eng.Aggregate(context.Background(), []*FlexOffer{a, b})
 	if err != nil || len(ags) != 1 {
-		t.Fatalf("AggregateAll = %d aggregates, %v", len(ags), err)
+		t.Fatalf("Engine.Aggregate = %d aggregates, %v", len(ags), err)
 	}
 	neg := a.ScaleEnergy(-1)
 	bg := BalanceGroups([]*FlexOffer{a, neg}, BalanceParams{ESTTolerance: 4})
@@ -117,9 +119,9 @@ func TestPublicAPIAggregation(t *testing.T) {
 	}
 }
 
-// TestPublicAPIParallelAggregation exercises the worker-pool facade:
-// AggregateAllParallel and every Config routing of AggregateWithConfig
-// must match the serial AggregateAll.
+// TestPublicAPIParallelAggregation exercises the engine's worker-pool
+// configurations: every worker count, error mode and safe setting, on
+// one shard and on several, must match the serial oracle.
 func TestPublicAPIParallelAggregation(t *testing.T) {
 	var offers []*FlexOffer
 	for i := 0; i < 40; i++ {
@@ -132,37 +134,28 @@ func TestPublicAPIParallelAggregation(t *testing.T) {
 		offers = append(offers, f)
 	}
 	gp := GroupParams{ESTTolerance: 2, TFTolerance: -1, MaxGroupSize: 6}
-	serial, err := AggregateAll(offers, gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := AggregateAllParallel(offers, gp, ParallelParams{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("AggregateAllParallel diverges from AggregateAll")
-	}
-	for _, cfg := range []Config{
-		{Group: gp},                         // parallel, one worker per CPU
-		{Group: gp, Workers: 1},             // serial routing
-		{Group: gp, Workers: 3},             // pinned pool
-		{Group: gp, ErrorMode: CollectAll},  // collect-all reporting
-		{Group: gp, Workers: 2, Safe: true}, // safe parallel
-		{Group: gp, Workers: 1, Safe: true}, // safe serial
+	for _, c := range []struct {
+		shards, workers int
+		mode            ErrorMode
+		safe            bool
+	}{
+		{shards: 1},                         // one worker per CPU
+		{shards: 1, workers: 1},             // serial
+		{shards: 1, workers: 3},             // pinned pool
+		{shards: 1, mode: CollectAll},       // collect-all reporting
+		{shards: 1, workers: 2, safe: true}, // safe parallel
+		{shards: 1, workers: 1, safe: true}, // safe serial
+		{shards: 3, workers: 2},             // scatter-gather
+		{shards: 3, workers: 1, safe: true}, // serial shards
 	} {
-		got, err := AggregateWithConfig(context.Background(), offers, cfg)
+		eng := NewSharded(c.shards, WithGrouping(gp), WithWorkers(c.workers), WithErrorMode(c.mode), WithSafe(c.safe))
+		got, err := eng.Aggregate(context.Background(), offers)
+		eng.Close()
 		if err != nil {
-			t.Fatalf("config %+v: %v", cfg, err)
+			t.Fatalf("config %+v: %v", c, err)
 		}
-		want := serial
-		if cfg.Safe {
-			if want, err = AggregateAllSafe(offers, gp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("config %+v diverges from serial reference", cfg)
+		if want := serialAggregates(t, offers, gp, c.safe); !reflect.DeepEqual(want, got) {
+			t.Fatalf("config %+v diverges from the serial oracle", c)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 						t.Fatalf("round %d: incremental engine: %v", round, err)
 					}
 					if !reflect.DeepEqual(gotEng, want) {
-						t.Fatalf("round %d: incremental single-engine pipeline differs from full recompute", round)
+						t.Fatalf("round %d: incremental one-shard Pipeline differs from full recompute", round)
 					}
 				}
 				st := incSE.IncrementalStats()

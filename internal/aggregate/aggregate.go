@@ -367,22 +367,10 @@ func (ag *Aggregated) Loss(m core.Measure) (float64, error) {
 	return before - after, nil
 }
 
-// GroupParams controls Group's similarity thresholds, mirroring the
-// grouping parameters of reference [15]. It is the grouping package's
-// threshold Params; this alias keeps existing callers compiling.
+// GroupParams controls the similarity thresholds AggregateAll groups
+// with, mirroring the grouping parameters of reference [15]. It is the
+// grouping package's threshold Params.
 type GroupParams = grouping.Params
-
-// Group partitions the offers into aggregation-compatible groups: the
-// offers are ordered by earliest start time and greedily packed while
-// the group stays within the tolerances. The input slice is not
-// modified; constituent order inside each group follows the sort.
-//
-// The implementation lives in the grouping package, which also provides
-// the parallel sharded variant (grouping.Sharded) the Engine runs on;
-// this shim is the serial oracle both are equivalent to.
-func Group(offers []*flexoffer.FlexOffer, p GroupParams) [][]*flexoffer.FlexOffer {
-	return grouping.Group(offers, p)
-}
 
 // AggregateSafe aggregates the group after tightening every
 // constituent's total constraints into its slice bounds
@@ -416,12 +404,12 @@ func AggregateSafe(group []*flexoffer.FlexOffer) (*Aggregated, error) {
 // AggregateAll groups the offers with p and aggregates every group,
 // returning the aggregates in group order.
 func AggregateAll(offers []*flexoffer.FlexOffer, p GroupParams) ([]*Aggregated, error) {
-	return aggregateGroups(Group(offers, p), Aggregate)
+	return aggregateGroups(grouping.Group(offers, p), Aggregate)
 }
 
 // AggregateAllSafe is AggregateAll using AggregateSafe per group.
 func AggregateAllSafe(offers []*flexoffer.FlexOffer, p GroupParams) ([]*Aggregated, error) {
-	return aggregateGroups(Group(offers, p), AggregateSafe)
+	return aggregateGroups(grouping.Group(offers, p), AggregateSafe)
 }
 
 // aggregateGroups is the serial pipeline. Failures carry the full

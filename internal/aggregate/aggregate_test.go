@@ -8,6 +8,7 @@ import (
 
 	"flexmeasures/internal/core"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/timeseries"
 )
 
@@ -237,7 +238,7 @@ func TestGroupRespectsTolerances(t *testing.T) {
 		flexoffer.MustNew(9, 11, sl(1, 2)),
 		flexoffer.MustNew(10, 12, sl(1, 2)),
 	}
-	groups := Group(offers, GroupParams{ESTTolerance: 2, TFTolerance: -1})
+	groups := grouping.Group(offers, GroupParams{ESTTolerance: 2, TFTolerance: -1})
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
@@ -263,16 +264,16 @@ func TestGroupTFToleranceAndSizeCap(t *testing.T) {
 		flexoffer.MustNew(0, 9, sl(1, 2)),
 		flexoffer.MustNew(0, 1, sl(1, 2)),
 	}
-	groups := Group(offers, GroupParams{ESTTolerance: 5, TFTolerance: 1})
+	groups := grouping.Group(offers, GroupParams{ESTTolerance: 5, TFTolerance: 1})
 	// tf values 0, 9, 1: sorted by tf → 0,1 group; 9 alone.
 	if len(groups) != 2 {
 		t.Fatalf("TF tolerance: got %d groups, want 2", len(groups))
 	}
-	groups = Group(offers, GroupParams{ESTTolerance: 5, TFTolerance: -1, MaxGroupSize: 1})
+	groups = grouping.Group(offers, GroupParams{ESTTolerance: 5, TFTolerance: -1, MaxGroupSize: 1})
 	if len(groups) != 3 {
 		t.Fatalf("size cap: got %d groups, want 3", len(groups))
 	}
-	if Group(nil, GroupParams{}) != nil {
+	if grouping.Group(nil, GroupParams{}) != nil {
 		t.Error("empty input should give nil groups")
 	}
 }
@@ -302,9 +303,9 @@ func TestBalanceGroupsMixSigns(t *testing.T) {
 		flexoffer.MustNew(0, 2, sl(2, 2)),   // +2
 		flexoffer.MustNew(0, 2, sl(-2, -2)), // −2
 	}
-	groups := BalanceGroups(offers, BalanceParams{ESTTolerance: 2})
+	groups := grouping.BalanceGroups(offers, grouping.BalanceParams{ESTTolerance: 2})
 	for _, g := range groups {
-		if net := NetExpectedEnergy(g); net != 0 {
+		if net := grouping.NetExpectedEnergy(g); net != 0 {
 			t.Errorf("group net energy = %d, want 0", net)
 		}
 	}
@@ -315,7 +316,7 @@ func TestBalanceGroupsAllSameSign(t *testing.T) {
 		flexoffer.MustNew(0, 2, sl(1, 1)),
 		flexoffer.MustNew(0, 2, sl(2, 2)),
 	}
-	groups := BalanceGroups(offers, BalanceParams{ESTTolerance: 2})
+	groups := grouping.BalanceGroups(offers, grouping.BalanceParams{ESTTolerance: 2})
 	var n int
 	for _, g := range groups {
 		n += len(g)
@@ -323,7 +324,7 @@ func TestBalanceGroupsAllSameSign(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("offers lost: %d grouped of 2", n)
 	}
-	if BalanceGroups(nil, BalanceParams{}) != nil {
+	if grouping.BalanceGroups(nil, grouping.BalanceParams{}) != nil {
 		t.Error("empty input should give nil groups")
 	}
 }

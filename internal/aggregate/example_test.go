@@ -1,12 +1,14 @@
 package aggregate_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"flexmeasures/internal/aggregate"
 	"flexmeasures/internal/core"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 )
 
 // Example aggregates two flex-offers by start alignment and quantifies
@@ -52,33 +54,36 @@ func ExampleAggregated_Disaggregate() {
 	// {1..1}⟨2⟩
 }
 
-// ExampleGroup partitions offers by start-time similarity before
-// aggregation.
-func ExampleGroup() {
+// ExampleAggregateAll partitions offers by start-time similarity and
+// aggregates each group.
+func ExampleAggregateAll() {
 	offers := []*flexoffer.FlexOffer{
 		flexoffer.MustNew(0, 2, flexoffer.Slice{Min: 1, Max: 2}),
 		flexoffer.MustNew(1, 3, flexoffer.Slice{Min: 1, Max: 2}),
 		flexoffer.MustNew(10, 12, flexoffer.Slice{Min: 1, Max: 2}),
 	}
-	groups := aggregate.Group(offers, aggregate.GroupParams{ESTTolerance: 2, TFTolerance: -1})
-	fmt.Println(len(groups), "groups of", len(groups[0]), "and", len(groups[1]))
-	// Output: 2 groups of 2 and 1
+	ags, err := aggregate.AggregateAll(offers, aggregate.GroupParams{ESTTolerance: 2, TFTolerance: -1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(len(ags), "aggregates of", len(ags[0].Constituents), "and", len(ags[1].Constituents))
+	// Output: 2 aggregates of 2 and 1
 }
 
-// ExampleOptimizeGroups merges only while the relative flexibility loss
+// ExampleOptimizer merges only while the relative flexibility loss
 // stays under a bound — the paper's future-work "aggregation jointly
 // with flexibility optimization".
-func ExampleOptimizeGroups() {
+func ExampleOptimizer() {
 	offers := []*flexoffer.FlexOffer{
 		flexoffer.MustNew(0, 4, flexoffer.Slice{Min: 1, Max: 2}),
 		flexoffer.MustNew(0, 4, flexoffer.Slice{Min: 1, Max: 2}),
 		flexoffer.MustNew(0, 0, flexoffer.Slice{Min: 1, Max: 2}), // would kill tf
 	}
-	groups, err := aggregate.OptimizeGroups(offers, aggregate.OptimizeParams{
+	groups, err := aggregate.Optimizer(grouping.OptimizeParams{
 		Measure:         core.VectorMeasure{},
 		MaxLossFraction: 0.45,
 		ESTTolerance:    -1,
-	})
+	}).Group(context.Background(), offers)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,16 +6,9 @@ import (
 	"flexmeasures/internal/grouping"
 )
 
-// The loss-bounded optimizing strategy moved to the grouping package;
-// these shims inject this package's Aggregate as the combine step (the
-// grouping package cannot depend on aggregation) and keep existing
-// callers compiling.
-
-// ErrNoMeasure is returned by OptimizeGroups without a measure.
-var ErrNoMeasure = grouping.ErrNoMeasure
-
-// OptimizeParams controls OptimizeGroups.
-type OptimizeParams = grouping.OptimizeParams
+// The loss-bounded optimizing strategy lives in the grouping package;
+// Optimizer injects this package's Aggregate as its combine step (the
+// grouping package cannot depend on aggregation).
 
 // combineForMeasure builds the aggregate flex-offer a candidate merge
 // would produce — the CombineFunc the optimizing strategy scores merges
@@ -28,20 +21,10 @@ func combineForMeasure(group []*flexoffer.FlexOffer) (*flexoffer.FlexOffer, erro
 	return ag.Offer, nil
 }
 
-// OptimizeGroups implements the paper's Section 6 future work —
-// "performing aggregation jointly with flexibility optimization": it
-// partitions the offers so that aggregation preserves as much measured
-// flexibility as possible, instead of grouping by start-time similarity
-// alone. See grouping.OptimizeGroups for the greedy agglomerative
-// algorithm.
-func OptimizeGroups(offers []*flexoffer.FlexOffer, p OptimizeParams) ([][]*flexoffer.FlexOffer, error) {
-	return grouping.OptimizeGroups(offers, p, combineForMeasure)
-}
-
 // Optimizer returns the Grouper adapter of the optimizing strategy with
 // this package's aggregation as the combine step, for installing on an
 // Engine via flex.WithGrouper.
-func Optimizer(p OptimizeParams) grouping.Optimize {
+func Optimizer(p grouping.OptimizeParams) grouping.Optimize {
 	return grouping.Optimize{Params: p, Combine: combineForMeasure}
 }
 

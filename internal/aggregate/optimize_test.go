@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -8,16 +9,23 @@ import (
 
 	"flexmeasures/internal/core"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 )
 
+// optimizeGroups runs the optimizing strategy with this package's
+// aggregation as the combine step, exactly as Optimizer installs it.
+func optimizeGroups(offers []*flexoffer.FlexOffer, p grouping.OptimizeParams) ([][]*flexoffer.FlexOffer, error) {
+	return Optimizer(p).Group(context.Background(), offers)
+}
+
 func TestOptimizeGroupsRequiresMeasure(t *testing.T) {
-	if _, err := OptimizeGroups(nil, OptimizeParams{}); !errors.Is(err, ErrNoMeasure) {
-		t.Fatalf("got %v, want ErrNoMeasure", err)
+	if _, err := optimizeGroups(nil, grouping.OptimizeParams{}); !errors.Is(err, grouping.ErrNoMeasure) {
+		t.Fatalf("got %v, want grouping.ErrNoMeasure", err)
 	}
 }
 
 func TestOptimizeGroupsEmptyInput(t *testing.T) {
-	groups, err := OptimizeGroups(nil, OptimizeParams{Measure: core.TimeMeasure{}})
+	groups, err := optimizeGroups(nil, grouping.OptimizeParams{Measure: core.TimeMeasure{}})
 	if err != nil || groups != nil {
 		t.Fatalf("empty input: %v, %v", groups, err)
 	}
@@ -31,7 +39,7 @@ func TestOptimizeGroupsLosslessMergesIdenticalOffers(t *testing.T) {
 		flexoffer.MustNew(0, 4, sl(1, 2)),
 		flexoffer.MustNew(0, 4, sl(1, 2)),
 	}
-	groups, err := OptimizeGroups(offers, OptimizeParams{
+	groups, err := optimizeGroups(offers, grouping.OptimizeParams{
 		Measure:         core.TimeMeasure{},
 		MaxLossFraction: 0.0,
 		ESTTolerance:    -1,
@@ -57,7 +65,7 @@ func TestOptimizeGroupsMergesWhenLossAllowed(t *testing.T) {
 	// Pair merge: parts 2·5 → aggregate vector 6, loss 0.4; triple
 	// merge: parts 15 → aggregate 7, loss 8/15 ≈ 0.53. A bound of 0.45
 	// therefore allows exactly one pair merge; 0.6 collapses all three.
-	groups, err := OptimizeGroups(offers, OptimizeParams{
+	groups, err := optimizeGroups(offers, grouping.OptimizeParams{
 		Measure:         core.VectorMeasure{},
 		MaxLossFraction: 0.45,
 		ESTTolerance:    -1,
@@ -68,7 +76,7 @@ func TestOptimizeGroupsMergesWhenLossAllowed(t *testing.T) {
 	if len(groups) != 2 {
 		t.Fatalf("bound 0.45: got %d groups, want 2", len(groups))
 	}
-	groups, err = OptimizeGroups(offers, OptimizeParams{
+	groups, err = optimizeGroups(offers, grouping.OptimizeParams{
 		Measure:         core.VectorMeasure{},
 		MaxLossFraction: 0.6,
 		ESTTolerance:    -1,
@@ -87,7 +95,7 @@ func TestOptimizeGroupsRespectsSizeCapAndTolerance(t *testing.T) {
 		flexoffer.MustNew(0, 4, sl(1, 2)),
 		flexoffer.MustNew(20, 24, sl(1, 2)),
 	}
-	groups, err := OptimizeGroups(offers, OptimizeParams{
+	groups, err := optimizeGroups(offers, grouping.OptimizeParams{
 		Measure:         core.VectorMeasure{},
 		MaxLossFraction: 1,
 		ESTTolerance:    2,
@@ -98,7 +106,7 @@ func TestOptimizeGroupsRespectsSizeCapAndTolerance(t *testing.T) {
 	if len(groups) != 2 {
 		t.Fatalf("EST tolerance: got %d groups, want 2", len(groups))
 	}
-	groups, err = OptimizeGroups(offers, OptimizeParams{
+	groups, err = optimizeGroups(offers, grouping.OptimizeParams{
 		Measure:         core.VectorMeasure{},
 		MaxLossFraction: 1,
 		ESTTolerance:    -1,
@@ -137,7 +145,7 @@ func TestOptimizeGroupsBeatsSimilarityGroupingOnRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := OptimizeGroups(offers, OptimizeParams{
+	groups, err := optimizeGroups(offers, grouping.OptimizeParams{
 		Measure:         m,
 		MaxLossFraction: 0.05,
 		ESTTolerance:    4,
@@ -192,7 +200,7 @@ func TestPropertyOptimizeGroupsPreservesOffers(t *testing.T) {
 		for i := range offers {
 			offers[i] = randomOfferForAgg(r)
 		}
-		groups, err := OptimizeGroups(offers, OptimizeParams{
+		groups, err := optimizeGroups(offers, grouping.OptimizeParams{
 			Measure:         core.VectorMeasure{},
 			MaxLossFraction: r.Float64(),
 			ESTTolerance:    -1,
@@ -225,7 +233,7 @@ func TestPropertyOptimizeGroupsHonoursLossBound(t *testing.T) {
 			offers[i] = randomOfferForAgg(r)
 		}
 		const bound = 0.3
-		groups, err := OptimizeGroups(offers, OptimizeParams{
+		groups, err := optimizeGroups(offers, grouping.OptimizeParams{
 			Measure:         core.VectorMeasure{},
 			MaxLossFraction: bound,
 			ESTTolerance:    -1,

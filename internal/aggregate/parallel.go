@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"flexmeasures/internal/flexoffer"
-	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/obs"
 	"flexmeasures/internal/pool"
 )
@@ -63,8 +61,8 @@ type ParallelParams struct {
 	// Workers is the number of concurrent aggregation workers; values
 	// below 1 mean runtime.GOMAXPROCS(0). The pipeline never uses more
 	// workers than there are groups. When Pool is set — as the Engine
-	// and the deprecated flex shims do — Workers instead caps this
-	// call's share of the pool and cannot exceed the pool's own size.
+	// does — Workers instead caps this call's share of the pool and
+	// cannot exceed the pool's own size.
 	Workers int
 	// BatchSize is the number of consecutive groups a worker claims at
 	// a time. Larger batches amortize coordination; smaller batches
@@ -169,29 +167,8 @@ func (es GroupErrors) Unwrap() []error {
 	return out
 }
 
-// AggregateAllParallel is AggregateAll executed by a worker pool: it
-// groups the offers with gp and aggregates the groups concurrently under
-// pp. The result is identical to AggregateAll — same aggregates, same
-// group order — for every worker count.
-func AggregateAllParallel(offers []*flexoffer.FlexOffer, gp GroupParams, pp ParallelParams) ([]*Aggregated, error) {
-	return AggregateAllParallelCtx(context.Background(), offers, gp, pp)
-}
-
-// AggregateAllParallelCtx is AggregateAllParallel with cancellation: when
-// ctx is cancelled mid-batch the pipeline stops claiming groups, drains,
-// and returns ctx's error.
-func AggregateAllParallelCtx(ctx context.Context, offers []*flexoffer.FlexOffer, gp GroupParams, pp ParallelParams) ([]*Aggregated, error) {
-	return AggregateGroupsParallel(ctx, Group(offers, gp), pp)
-}
-
-// AggregateAllSafeParallel is AggregateAllSafe executed by the worker
-// pool (AggregateSafe per group).
-func AggregateAllSafeParallel(ctx context.Context, offers []*flexoffer.FlexOffer, gp GroupParams, pp ParallelParams) ([]*Aggregated, error) {
-	return aggregateGroupsParallel(ctx, Group(offers, gp), AggregateSafe, pp)
-}
-
-// AggregateGroupsParallel aggregates pre-computed groups (from Group,
-// BalanceGroups or OptimizeGroups) concurrently, preserving group order.
+// AggregateGroupsParallel aggregates pre-computed groups (from any
+// grouping strategy) concurrently, preserving group order.
 func AggregateGroupsParallel(ctx context.Context, groups [][]*flexoffer.FlexOffer, pp ParallelParams) ([]*Aggregated, error) {
 	return aggregateGroupsParallel(ctx, groups, Aggregate, pp)
 }
@@ -279,10 +256,10 @@ type StreamItem struct {
 	Err *GroupError
 }
 
-// AggregateAllStream groups the offers with gp and aggregates the
-// groups concurrently under pp, emitting each aggregate on the returned
-// channel as soon as its worker finishes it — the streaming counterpart
-// of AggregateAllParallel, for consumers (like sched.ScheduleStream)
+// AggregateGroupsStream aggregates pre-computed groups concurrently
+// under pp, emitting each aggregate on the returned channel as soon as
+// its worker finishes it — the streaming counterpart of
+// AggregateGroupsParallel, for consumers (like sched.ScheduleStream)
 // that overlap their own work with aggregation instead of waiting for
 // the full batch. It returns the channel and the number of groups the
 // consumer should expect.
@@ -295,24 +272,12 @@ type StreamItem struct {
 // stop claiming groups after the first failure (the failing item is
 // still delivered); in CollectAll mode every group is attempted and
 // every failure delivered.
-func AggregateAllStream(ctx context.Context, offers []*flexoffer.FlexOffer, gp GroupParams, pp ParallelParams) (<-chan StreamItem, int) {
-	return streamGroups(ctx, Group(offers, gp), Aggregate, pp)
-}
-
-// AggregateAllSafeStream is AggregateAllStream using AggregateSafe per
-// group (every valid aggregate assignment disaggregates).
-func AggregateAllSafeStream(ctx context.Context, offers []*flexoffer.FlexOffer, gp GroupParams, pp ParallelParams) (<-chan StreamItem, int) {
-	return streamGroups(ctx, Group(offers, gp), AggregateSafe, pp)
-}
-
-// AggregateGroupsStream streams the aggregation of pre-computed groups
-// (from Group, BalanceGroups or OptimizeGroups).
 func AggregateGroupsStream(ctx context.Context, groups [][]*flexoffer.FlexOffer, pp ParallelParams) (<-chan StreamItem, int) {
 	return streamGroups(ctx, groups, Aggregate, pp)
 }
 
 // AggregateGroupsSafeStream is AggregateGroupsStream using AggregateSafe
-// per group — the streaming path of a custom Grouper on a safe Engine.
+// per group (every valid aggregate assignment disaggregates).
 func AggregateGroupsSafeStream(ctx context.Context, groups [][]*flexoffer.FlexOffer, pp ParallelParams) (<-chan StreamItem, int) {
 	return streamGroups(ctx, groups, AggregateSafe, pp)
 }
@@ -406,148 +371,4 @@ func DisaggregateAllParallel(ctx context.Context, ags []*Aggregated, assignments
 		return nil, err
 	}
 	return out, nil
-}
-
-// AggregateGrouperStream partitions the offers with the streaming
-// grouper g — batch by batch, as its shards complete — and aggregates
-// each batch's groups on the worker pool, emitting every aggregate on
-// the item channel with its global grouping-order index. Aggregation of
-// the first shard's groups therefore overlaps the packing of later
-// shards, where AggregateAllStream runs one full grouping pass before
-// the first aggregate exists.
-//
-// The total group count — what a placement consumer like
-// sched.ScheduleStream needs up front — is delivered on the second
-// channel once grouping completes; the channel is closed without a
-// value when ctx was cancelled before the count was known. The item
-// channel is buffered to len(offers), an upper bound on the group
-// count, so producers never block and abandoning the stream leaks no
-// goroutines. Error semantics match AggregateAllStream: in FirstError
-// mode workers stop claiming groups after the first failure (which is
-// still delivered); in CollectAll mode every group is attempted.
-func AggregateGrouperStream(ctx context.Context, offers []*flexoffer.FlexOffer, g grouping.Streamer, pp ParallelParams) (<-chan StreamItem, <-chan int) {
-	return streamGrouper(ctx, offers, g, Aggregate, pp)
-}
-
-// AggregateGrouperSafeStream is AggregateGrouperStream using
-// AggregateSafe per group (every valid aggregate assignment
-// disaggregates).
-func AggregateGrouperSafeStream(ctx context.Context, offers []*flexoffer.FlexOffer, g grouping.Streamer, pp ParallelParams) (<-chan StreamItem, <-chan int) {
-	return streamGrouper(ctx, offers, g, AggregateSafe, pp)
-}
-
-// streamGrouper consumes grouping batches as the grouper delivers them
-// and fans each batch's aggregation out across the worker pool. The
-// forwarding of batches and the aggregation of their groups run in
-// separate goroutines: the group count is therefore delivered the
-// moment the grouper finishes — while groups are still aggregating —
-// so a placement consumer blocked on the count starts scheduling
-// without waiting for aggregation to drain.
-func streamGrouper(ctx context.Context, offers []*flexoffer.FlexOffer, g grouping.Streamer, agg func([]*flexoffer.FlexOffer) (*Aggregated, error), pp ParallelParams) (<-chan StreamItem, <-chan int) {
-	// The item buffer must hold everything the producers might emit, or
-	// an abandoned stream would block them forever; the exact group
-	// count is only known once grouping ends, so the buffer is sized to
-	// its upper bound, the offer count (every group holds ≥ 1 offer).
-	ch := make(chan StreamItem, len(offers))
-	nch := make(chan int, 1)
-	batches := g.GroupStream(ctx, offers)
-	// Batches queue between the forwarder and the aggregator through a
-	// grown slice (a few header words per shard) rather than a second
-	// offer-count-sized channel; the forwarder only appends and pokes
-	// wake, so it can never block behind slow aggregation.
-	var (
-		mu       sync.Mutex
-		queue    []groupRun
-		complete bool
-	)
-	wake := make(chan struct{}, 1)
-	poke := func() {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	}
-	go func() {
-		defer close(nch)
-		total := 0
-		for batch := range batches {
-			mu.Lock()
-			queue = append(queue, groupRun{base: total, groups: batch.Groups})
-			mu.Unlock()
-			poke()
-			total += len(batch.Groups)
-		}
-		// The batch stream closes on completion and on cancellation
-		// alike; deliver the count only when grouping actually finished,
-		// so a consumer can tell a complete stream from a cut-short one.
-		// The count is ready the moment grouping ends — groups are still
-		// aggregating — which is what lets a placement consumer blocked
-		// on it start scheduling without waiting for aggregation.
-		if ctx.Err() == nil {
-			nch <- total
-		}
-		mu.Lock()
-		complete = true
-		mu.Unlock()
-		poke()
-	}()
-	done := ctx.Done()
-	// One aggregate span covers the whole aggregation side of the
-	// stream, batches included; ended before the item channel closes
-	// (LIFO defers) so a draining consumer sees it completed.
-	sctx, sp := obs.Start(ctx, obs.StageAggregate)
-	go func() {
-		defer close(ch)
-		defer sp.End()
-		var failed atomic.Bool
-		for {
-			mu.Lock()
-			runs := queue
-			queue = nil
-			closed := complete
-			mu.Unlock()
-			if len(runs) == 0 {
-				if closed {
-					return
-				}
-				<-wake
-				continue
-			}
-			// Taking the whole queue coalesces every run ready right
-			// now, so one fan-out covers them all instead of paying a
-			// barrier per tiny shard. Runs are contiguous, so the first
-			// base indexes the combined slice.
-			base := runs[0].base
-			groups := runs[0].groups
-			for _, r := range runs[1:] {
-				groups = append(groups, r.groups...)
-			}
-			pp.forEachCtx(sctx, len(groups), func(j int) {
-				if pp.ErrorMode == FirstError && failed.Load() {
-					return
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-				ag, err := agg(groups[j])
-				if err != nil {
-					failed.Store(true)
-					ch <- StreamItem{Index: base + j, Err: newGroupError(base+j, groups[j], err)}
-					return
-				}
-				ch <- StreamItem{Index: base + j, Agg: ag}
-			})
-		}
-	}()
-	return ch, nch
-}
-
-// groupRun is one contiguous run of groups queued between the grouper
-// forwarder and the aggregation fan-out: groups[j] is global group
-// base+j.
-type groupRun struct {
-	base   int
-	groups [][]*flexoffer.FlexOffer
 }

@@ -12,6 +12,7 @@ import (
 
 	"flexmeasures/internal/core"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 )
 
 // randomOffers generates a reproducible population of mixed-sign offers
@@ -60,6 +61,13 @@ func encodeAggregates(t *testing.T, ags []*Aggregated) []byte {
 	return buf.Bytes()
 }
 
+// aggregateAllParallel groups the offers with the serial threshold
+// grouping and aggregates the groups under pp: the whole-offer form of
+// AggregateGroupsParallel the tests below exercise.
+func aggregateAllParallel(ctx context.Context, offers []*flexoffer.FlexOffer, gp GroupParams, pp ParallelParams) ([]*Aggregated, error) {
+	return AggregateGroupsParallel(ctx, grouping.Group(offers, gp), pp)
+}
+
 // TestAggregateAllParallelMatchesSerial is the equivalence property test:
 // across randomized offer sets and worker counts, the parallel pipeline
 // must produce byte-identical output to the serial one.
@@ -78,7 +86,7 @@ func TestAggregateAllParallelMatchesSerial(t *testing.T) {
 		}
 		want := encodeAggregates(t, serial)
 		for _, workers := range []int{0, 1, 2, 4, 7} {
-			parallel, err := AggregateAllParallel(offers, gp, ParallelParams{Workers: workers})
+			parallel, err := aggregateAllParallel(context.Background(), offers, gp, ParallelParams{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -107,7 +115,7 @@ func TestAggregateAllParallelDeterministicUnderRace(t *testing.T) {
 			t.Parallel()
 			pp := ParallelParams{Workers: workers, BatchSize: workers % 3} // exercise explicit and automatic batching
 			for rep := 0; rep < 4; rep++ {
-				got, err := AggregateAllParallel(offers, gp, pp)
+				got, err := aggregateAllParallel(context.Background(), offers, gp, pp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +128,7 @@ func TestAggregateAllParallelDeterministicUnderRace(t *testing.T) {
 }
 
 func TestAggregateAllParallelEmptyAndSingle(t *testing.T) {
-	got, err := AggregateAllParallel(nil, GroupParams{}, ParallelParams{Workers: 4})
+	got, err := aggregateAllParallel(context.Background(), nil, GroupParams{}, ParallelParams{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +136,7 @@ func TestAggregateAllParallelEmptyAndSingle(t *testing.T) {
 		t.Fatalf("empty input: want empty non-nil slice, got %#v", got)
 	}
 	f := flexoffer.MustNew(2, 5, flexoffer.Slice{Min: 1, Max: 3})
-	got, err = AggregateAllParallel([]*flexoffer.FlexOffer{f}, GroupParams{}, ParallelParams{Workers: 4})
+	got, err = aggregateAllParallel(context.Background(), []*flexoffer.FlexOffer{f}, GroupParams{}, ParallelParams{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +156,7 @@ func TestAggregateAllParallelPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	offers := randomOffers(t, 1, 50)
-	_, err := AggregateAllParallelCtx(ctx, offers, GroupParams{ESTTolerance: 4, TFTolerance: -1}, ParallelParams{})
+	_, err := aggregateAllParallel(ctx, offers, GroupParams{ESTTolerance: 4, TFTolerance: -1}, ParallelParams{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -159,7 +167,7 @@ func TestAggregateAllParallelPreCancelled(t *testing.T) {
 // groups and surfaces ctx's error.
 func TestAggregateAllParallelCancelMidBatch(t *testing.T) {
 	offers := randomOffers(t, 2, 400)
-	groups := Group(offers, GroupParams{ESTTolerance: 0, TFTolerance: -1, MaxGroupSize: 4})
+	groups := grouping.Group(offers, GroupParams{ESTTolerance: 0, TFTolerance: -1, MaxGroupSize: 4})
 	if len(groups) < 10 {
 		t.Fatalf("need ≥10 groups for a mid-batch cancel, got %d", len(groups))
 	}
@@ -199,7 +207,7 @@ func TestAggregateAllParallelFirstError(t *testing.T) {
 	}
 	bad := invalidOffer("bad-offer", 500) // far EST → its own group, the last one
 	offers = append(offers, bad)
-	_, err := AggregateAllParallel(offers, GroupParams{ESTTolerance: 4, TFTolerance: -1}, ParallelParams{Workers: 4})
+	_, err := aggregateAllParallel(context.Background(), offers, GroupParams{ESTTolerance: 4, TFTolerance: -1}, ParallelParams{Workers: 4})
 	if err == nil {
 		t.Fatal("invalid constituent must fail")
 	}
@@ -222,7 +230,7 @@ func TestAggregateAllParallelCollectAll(t *testing.T) {
 		flexoffer.MustNew(200, 202, flexoffer.Slice{Min: 1, Max: 2}),
 		invalidOffer("bad-b", 300),
 	}
-	_, err := AggregateAllParallel(offers, GroupParams{ESTTolerance: 0, TFTolerance: -1},
+	_, err := aggregateAllParallel(context.Background(), offers, GroupParams{ESTTolerance: 0, TFTolerance: -1},
 		ParallelParams{Workers: 4, ErrorMode: CollectAll})
 	var ges GroupErrors
 	if !errors.As(err, &ges) {
@@ -269,7 +277,7 @@ func TestAggregateAllSafeParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := AggregateAllSafeParallel(context.Background(), offers, gp, ParallelParams{Workers: 3})
+	parallel, err := AggregateGroupsSafeParallel(context.Background(), grouping.Group(offers, gp), ParallelParams{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +288,7 @@ func TestAggregateAllSafeParallelMatchesSerial(t *testing.T) {
 
 func TestAggregateGroupsParallelBalanceGroups(t *testing.T) {
 	offers := randomOffers(t, 6, 150)
-	groups := BalanceGroups(offers, BalanceParams{ESTTolerance: 8, MaxGroupSize: 12})
+	groups := grouping.BalanceGroups(offers, grouping.BalanceParams{ESTTolerance: 8, MaxGroupSize: 12})
 	serial, err := aggregateGroups(groups, Aggregate)
 	if err != nil {
 		t.Fatal(err)
@@ -299,21 +307,21 @@ func TestAggregateGroupsParallelBalanceGroups(t *testing.T) {
 // exact grouping of the serial scan.
 func TestOptimizeGroupsWorkerCountInvariant(t *testing.T) {
 	offers := randomOffers(t, 7, 60)
-	base := OptimizeParams{
+	base := grouping.OptimizeParams{
 		Measure:         core.VectorMeasure{},
 		MaxLossFraction: 0.5,
 		ESTTolerance:    -1,
 		MaxGroupSize:    6,
 		Workers:         1,
 	}
-	want, err := OptimizeGroups(offers, base)
+	want, err := optimizeGroups(offers, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 8} {
 		p := base
 		p.Workers = workers
-		got, err := OptimizeGroups(offers, p)
+		got, err := optimizeGroups(offers, p)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/timeseries"
 )
 
@@ -16,8 +17,9 @@ func streamPopulation(t *testing.T, n int) ([]*flexoffer.FlexOffer, GroupParams)
 	return randomOffers(t, 5150, n), GroupParams{ESTTolerance: 3, TFTolerance: -1, MaxGroupSize: 24}
 }
 
-// TestAggregateAllStreamMatchesBatch: collecting the stream and sorting
-// by index must reproduce AggregateAll exactly, for any worker count.
+// TestAggregateAllStreamMatchesBatch: collecting the group stream over
+// the threshold grouping and sorting by index must reproduce
+// AggregateAll exactly, for any worker count.
 func TestAggregateAllStreamMatchesBatch(t *testing.T) {
 	offers, gp := streamPopulation(t, 400)
 	batch, err := AggregateAll(offers, gp)
@@ -25,7 +27,7 @@ func TestAggregateAllStreamMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		items, n := AggregateAllStream(context.Background(), offers, gp, ParallelParams{Workers: workers})
+		items, n := AggregateGroupsStream(context.Background(), grouping.Group(offers, gp), ParallelParams{Workers: workers})
 		if n != len(batch) {
 			t.Fatalf("workers=%d: stream count %d, batch %d", workers, n, len(batch))
 		}
@@ -51,15 +53,16 @@ func TestAggregateAllStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestAggregateAllSafeStreamDisaggregable: the safe streaming variant
-// tightens constituents exactly like AggregateAllSafe.
+// TestAggregateAllSafeStreamDisaggregable: the safe group stream over
+// the threshold grouping tightens constituents exactly like
+// AggregateAllSafe.
 func TestAggregateAllSafeStreamDisaggregable(t *testing.T) {
 	offers, gp := streamPopulation(t, 120)
 	batch, err := AggregateAllSafe(offers, gp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, n := AggregateAllSafeStream(context.Background(), offers, gp, ParallelParams{Workers: 4})
+	items, n := AggregateGroupsSafeStream(context.Background(), grouping.Group(offers, gp), ParallelParams{Workers: 4})
 	got := make([]*Aggregated, n)
 	for item := range items {
 		if item.Err != nil {
@@ -105,7 +108,7 @@ func TestAggregateAllStreamCancelledUpFront(t *testing.T) {
 	offers, gp := streamPopulation(t, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	items, _ := AggregateAllStream(ctx, offers, gp, ParallelParams{Workers: 2})
+	items, _ := AggregateGroupsStream(ctx, grouping.Group(offers, gp), ParallelParams{Workers: 2})
 	count := 0
 	for range items {
 		count++

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"flexmeasures/internal/aggregate"
 	"flexmeasures/internal/core"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/sched"
 	"flexmeasures/internal/workload"
 )
@@ -67,24 +69,24 @@ func GroupingAblation() (*Result, error) {
 	}
 
 	if err := emit("similarity", "est=2",
-		aggregate.Group(offers, aggregate.GroupParams{ESTTolerance: 2, TFTolerance: -1, MaxGroupSize: 32})); err != nil {
+		grouping.Group(offers, grouping.Params{ESTTolerance: 2, TFTolerance: -1, MaxGroupSize: 32})); err != nil {
 		return nil, err
 	}
 	if err := emit("similarity", "est=2 tft=2",
-		aggregate.Group(offers, aggregate.GroupParams{ESTTolerance: 2, TFTolerance: 2, MaxGroupSize: 32})); err != nil {
+		grouping.Group(offers, grouping.Params{ESTTolerance: 2, TFTolerance: 2, MaxGroupSize: 32})); err != nil {
 		return nil, err
 	}
 	if err := emit("balance", "est=4",
-		aggregate.BalanceGroups(offers, aggregate.BalanceParams{ESTTolerance: 4, MaxGroupSize: 32})); err != nil {
+		grouping.BalanceGroups(offers, grouping.BalanceParams{ESTTolerance: 4, MaxGroupSize: 32})); err != nil {
 		return nil, err
 	}
 	for _, bound := range []float64{0.05, 0.20, 0.50} {
-		groups, err := aggregate.OptimizeGroups(offers, aggregate.OptimizeParams{
+		groups, err := aggregate.Optimizer(grouping.OptimizeParams{
 			Measure:         vec,
 			MaxLossFraction: bound,
 			ESTTolerance:    4,
 			MaxGroupSize:    32,
-		})
+		}).Group(context.Background(), offers)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"flexmeasures/internal/aggregate"
 	"flexmeasures/internal/core"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/sched"
 	"flexmeasures/internal/timeseries"
 	"flexmeasures/internal/workload"
@@ -161,7 +162,7 @@ func AlignmentAblation() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups := aggregate.Group(offers, aggregate.GroupParams{ESTTolerance: 3, TFTolerance: -1, MaxGroupSize: 32})
+	groups := grouping.Group(offers, grouping.Params{ESTTolerance: 3, TFTolerance: -1, MaxGroupSize: 32})
 	measures := []core.Measure{core.VectorMeasure{}, core.AbsoluteAreaMeasure{}, core.EntropyMeasure{}}
 	for _, al := range []aggregate.Alignment{aggregate.AlignEarliest, aggregate.AlignLatest} {
 		ags := make([]*aggregate.Aggregated, 0, len(groups))

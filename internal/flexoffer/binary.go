@@ -42,6 +42,13 @@ var (
 	maxBinOffers  = 1 << 26
 )
 
+// maxBinPrealloc caps the capacity allocated up front from an untrusted
+// count header (offers per stream, slices per offer). Past it, slices
+// grow with append as elements actually decode, so a short hostile
+// input cannot force an allocation far larger than itself, while
+// realistic offers still get one exact allocation.
+const maxBinPrealloc = 1024
+
 // EncodeBinary writes the offers in the compact binary format. Every
 // offer is validated first.
 func EncodeBinary(w io.Writer, offers []*FlexOffer) error {
@@ -111,7 +118,7 @@ func DecodeBinary(r io.Reader) ([]*FlexOffer, error) {
 	if count > uint64(maxBinOffers) {
 		return nil, fmt.Errorf("%w: %d offers", ErrTooLarge, count)
 	}
-	offers := make([]*FlexOffer, 0, count)
+	offers := make([]*FlexOffer, 0, min(count, maxBinPrealloc))
 	for i := uint64(0); i < count; i++ {
 		f, err := decodeOneBinary(br, zoned)
 		if err != nil {
@@ -168,9 +175,9 @@ func decodeOneBinary(br *bufio.Reader, zoned bool) (*FlexOffer, error) {
 		Zone:          string(zone),
 		EarliestStart: int(tes),
 		LatestStart:   int(tes + tfDelta),
-		Slices:        make([]Slice, nSlices),
+		Slices:        make([]Slice, 0, min(nSlices, maxBinPrealloc)),
 	}
-	for j := range f.Slices {
+	for j := uint64(0); j < nSlices; j++ {
 		min, err := readVarint(br)
 		if err != nil {
 			return nil, err
@@ -179,7 +186,7 @@ func decodeOneBinary(br *bufio.Reader, zoned bool) (*FlexOffer, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Slices[j] = Slice{Min: min, Max: min + int64(span)}
+		f.Slices = append(f.Slices, Slice{Min: min, Max: min + int64(span)})
 	}
 	cminDelta, err := readUvarint(br)
 	if err != nil {

@@ -2,8 +2,10 @@ package flexoffer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -238,5 +240,52 @@ func TestJSONDecodeNeverPanicsOnCorruption(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBinaryHostileHeadersBoundAllocation feeds tiny inputs whose size
+// headers claim huge counts. Decoding must fail, and must not allocate
+// memory in proportion to the claimed count: the up-front capacity is
+// capped, so the allocation stays bounded by what actually decodes.
+func TestBinaryHostileHeadersBoundAllocation(t *testing.T) {
+	uvarint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name   string
+		input  []byte
+		decode func([]byte) error
+	}{
+		{
+			// FXO1 | count 2^26, then nothing: 8 bytes.
+			name:  "stream count",
+			input: cat([]byte("FXO1"), uvarint(uint64(maxBinOffers))),
+			decode: func(b []byte) error {
+				_, err := DecodeBinary(bytes.NewReader(b))
+				return err
+			},
+		},
+		{
+			// One WAL-style record: FXO1 | count 1 | idLen 0 | tes 0 |
+			// tf 0 | 2^20 slices, then nothing: 11 bytes.
+			name:  "record slice count",
+			input: cat([]byte("FXO1"), uvarint(1), uvarint(0), uvarint(0), uvarint(0), uvarint(uint64(maxBinLen))),
+			decode: func(b []byte) error {
+				var f FlexOffer
+				return f.UnmarshalBinary(b)
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.decode(tc.input)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%d-byte input: got %v, want ErrCorrupt", len(tc.input), err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Fatalf("%d-byte input allocated %d bytes, want under 1 MiB", len(tc.input), d)
+			}
+		})
 	}
 }

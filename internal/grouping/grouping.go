@@ -9,10 +9,9 @@
 // implementation of the threshold strategy (parallel.go) whose output
 // is bit-identical to the serial one for every worker count.
 //
-// The aggregate package re-exports thin shims (Group, GroupParams,
-// BalanceGroups, OptimizeGroups) for compatibility; new code selects a
-// strategy here and hands the groups to aggregation, or installs a
-// Grouper on an Engine via flex.WithGrouper.
+// Callers select a strategy here and hand the groups to aggregation, or
+// install a Grouper on an Engine via flex.WithGrouper;
+// aggregate.Optimizer supplies the optimizing strategy's combine step.
 package grouping
 
 import (

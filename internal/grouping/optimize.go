@@ -113,8 +113,8 @@ func OptimizeGroups(offers []*flexoffer.FlexOffer, p OptimizeParams, combine Com
 }
 
 // Optimize is the Grouper adapter of the loss-bounded optimizing
-// strategy. Combine is required (aggregate.OptimizeGroups supplies the
-// aggregation step when going through the shim).
+// strategy. Combine is required (aggregate.Optimizer supplies the
+// aggregation step).
 type Optimize struct {
 	Params  OptimizeParams
 	Combine CombineFunc

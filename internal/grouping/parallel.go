@@ -39,32 +39,6 @@ import (
 // running the serial pack over the parallel sort's output. Small
 // inputs (below MinOffers) skip the machinery entirely.
 
-// Batch is one contiguous run of groups delivered by a streaming
-// grouper: Groups[i] is global group Offset+i in grouping-output order.
-// Batches arrive in increasing Offset order with no holes.
-type Batch struct {
-	// Offset is the global grouping-order index of Groups[0].
-	Offset int
-	// Groups holds the batch's groups in grouping order.
-	Groups [][]*flexoffer.FlexOffer
-}
-
-// Streamer is implemented by groupers that can deliver their output
-// incrementally, batch by batch, while later shards are still being
-// packed — the hook the streaming aggregation pipeline consumes so
-// aggregation starts before grouping finishes. Streaming groupers must
-// be infallible: a strategy that can fail implements only Grouper.
-type Streamer interface {
-	Grouper
-	// GroupStream partitions the offers and delivers the groups as
-	// batches in increasing Offset order on the returned channel,
-	// closing it when grouping is complete. The channel is buffered to
-	// the producer's full output, so abandoning it leaks nothing; a
-	// cancelled ctx ends the stream early (consumers that need to
-	// distinguish completion from cancellation check ctx themselves).
-	GroupStream(ctx context.Context, offers []*flexoffer.FlexOffer) <-chan Batch
-}
-
 // Sharded is the parallel implementation of the threshold strategy:
 // output is bit-identical to Group(offers, Params) for every worker
 // count, pool, and input size. The zero value is a valid serial-ish
@@ -130,28 +104,66 @@ func (s *Sharded) Group(ctx context.Context, offers []*flexoffer.FlexOffer) ([][
 	if len(offers) < s.minOffers() {
 		return groupTraced(ctx, offers, s.Params), nil
 	}
-	p := s.plan(ctx, offers)
+	sorted, ests, tfs := s.sortKeys(ctx, offers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, psp := obs.Start(ctx, obs.StageGroupPack)
-	defer psp.End()
-	if len(p.ends) == 1 {
-		// Fallback: one EST-connected run — every adjacent gap is
-		// within the tolerance, so greedy packing is inherently
-		// sequential and runs serially over the parallel sort's output.
-		return pack(p.sorted, p.tfs, s.Params), nil
+	return PackSorted(ctx, sorted, ests, tfs, s.Params, s.Pool, s.Workers)
+}
+
+// sortKeys derives the keys and returns the offers in stable (est, tf)
+// order together with their keys in that order. The whole phase is one
+// group_sort span; the ctx is used only for tracing.
+func (s *Sharded) sortKeys(ctx context.Context, offers []*flexoffer.FlexOffer) (sorted []*flexoffer.FlexOffer, sortedEST, sortedTF []int) {
+	_, sp := obs.Start(ctx, obs.StageGroupSort)
+	defer sp.End()
+	perm, ests, tfs := SortRun(offers, s.Pool, s.Workers)
+	n := len(offers)
+	sorted = make([]*flexoffer.FlexOffer, n)
+	sortedEST = make([]int, n)
+	sortedTF = make([]int, n)
+	for i, pi := range perm {
+		sorted[i] = offers[pi]
+		sortedEST[i] = ests[pi]
+		sortedTF[i] = tfs[pi]
 	}
-	per := make([][][]*flexoffer.FlexOffer, len(p.ends))
+	return sorted, sortedEST, sortedTF
+}
+
+// PackSorted greedily packs an already stably (est, tf)-sorted run —
+// sortedEST and sortedTF hold its keys in run order — into groups under
+// p. The run is cut into independent segments at every earliest-start
+// gap wider than the tolerance (Cuts); the segments are packed
+// concurrently under ex and workers (the Sharded fields of the same
+// names) and their groups concatenated in segment order, which
+// reproduces one Pack over the whole run bit for bit. When the run has
+// a single segment — every adjacent gap is within the tolerance — the
+// pack is inherently sequential and runs serially. The whole pack is
+// one group_pack span; a cancelled ctx stops it and returns ctx's
+// error. Both the Sharded grouper and the engine's scatter-gather
+// grouping (over the merged per-shard runs) end here.
+func PackSorted(ctx context.Context, sorted []*flexoffer.FlexOffer, sortedEST, sortedTF []int, p Params, ex pool.Executor, workers int) ([][]*flexoffer.FlexOffer, error) {
+	_, sp := obs.Start(ctx, obs.StageGroupPack)
+	defer sp.End()
+	ends := Cuts(sortedEST, p.ESTTolerance)
+	if len(ends) == 1 {
+		return pack(sorted, sortedTF, p), nil
+	}
+	per := make([][][]*flexoffer.FlexOffer, len(ends))
 	done := ctx.Done()
-	s.forEach(len(p.ends), 0, func(k int) {
+	s := &Sharded{Pool: ex, Workers: workers}
+	s.forEach(len(ends), 0, func(k int) {
 		select {
 		case <-done:
 			return
 		default:
 		}
-		lo, hi := p.startOf(k), p.ends[k]
-		per[k] = pack(p.sorted[lo:hi], p.tfs[lo:hi], s.Params)
+		lo := 0
+		if k > 0 {
+			lo = ends[k-1]
+		}
+		hi := ends[k]
+		per[k] = pack(sorted[lo:hi], sortedTF[lo:hi], p)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -165,113 +177,6 @@ func (s *Sharded) Group(ctx context.Context, offers []*flexoffer.FlexOffer) ([][
 		out = append(out, g...)
 	}
 	return out, nil
-}
-
-// GroupStream implements Streamer: each shard's groups are delivered as
-// soon as the shard and every shard before it are packed, so a consumer
-// aggregates the first groups while later shards are still packing. The
-// channel is buffered to the shard count — a shard emits at least one
-// group, so producers never block and abandoning the channel mid-stream
-// leaks no goroutines.
-func (s *Sharded) GroupStream(ctx context.Context, offers []*flexoffer.FlexOffer) <-chan Batch {
-	if len(offers) == 0 || ctx.Err() != nil {
-		ch := make(chan Batch)
-		close(ch)
-		return ch
-	}
-	if len(offers) < s.minOffers() {
-		ch := make(chan Batch, 1)
-		ch <- Batch{Groups: groupTraced(ctx, offers, s.Params)}
-		close(ch)
-		return ch
-	}
-	p := s.plan(ctx, offers)
-	ch := make(chan Batch, len(p.ends))
-	results := make([][][]*flexoffer.FlexOffer, len(p.ends))
-	ready := make([]chan struct{}, len(p.ends))
-	for k := range ready {
-		ready[k] = make(chan struct{})
-	}
-	done := ctx.Done()
-	// The pack span covers shard packing through the delivery of the
-	// last batch; the forwarder ends it before closing the channel
-	// (LIFO defers) so a draining consumer sees it completed.
-	_, psp := obs.Start(ctx, obs.StageGroupPack)
-	go func() {
-		s.forEach(len(p.ends), 0, func(k int) {
-			defer close(ready[k])
-			select {
-			case <-done:
-				return
-			default:
-			}
-			lo, hi := p.startOf(k), p.ends[k]
-			results[k] = pack(p.sorted[lo:hi], p.tfs[lo:hi], s.Params)
-		})
-	}()
-	go func() {
-		defer close(ch)
-		defer psp.End()
-		offset := 0
-		for k := range p.ends {
-			select {
-			case <-done:
-				return
-			case <-ready[k]:
-			}
-			if results[k] == nil {
-				// The packer skipped this shard: ctx was cancelled.
-				return
-			}
-			ch <- Batch{Offset: offset, Groups: results[k]}
-			offset += len(results[k])
-		}
-	}()
-	return ch
-}
-
-// shardPlan is the shared front half of Group and GroupStream: the
-// offers in stable (est, tf)-sorted order, their time flexibilities,
-// and the exclusive end index of every shard.
-type shardPlan struct {
-	sorted []*flexoffer.FlexOffer
-	tfs    []int
-	ends   []int
-}
-
-func (p *shardPlan) startOf(k int) int {
-	if k == 0 {
-		return 0
-	}
-	return p.ends[k-1]
-}
-
-// plan derives keys, sorts, and cuts the sorted order into shards at
-// every earliest-start gap wider than the tolerance. The whole phase
-// is one group_sort span; the ctx is used only for tracing.
-func (s *Sharded) plan(ctx context.Context, offers []*flexoffer.FlexOffer) *shardPlan {
-	_, sp := obs.Start(ctx, obs.StageGroupSort)
-	defer sp.End()
-	n := len(offers)
-	ests := make([]int, n)
-	tfs := make([]int, n)
-	s.forEach(n, 0, func(i int) {
-		ests[i] = offers[i].EarliestStart
-		tfs[i] = offers[i].TimeFlexibility()
-	})
-	perm := s.sortPerm(ests, tfs)
-	p := &shardPlan{
-		sorted: make([]*flexoffer.FlexOffer, n),
-		tfs:    make([]int, n),
-	}
-	sortedEST := make([]int, n)
-	for i, pi := range perm {
-		p.sorted[i] = offers[pi]
-		p.tfs[i] = tfs[pi]
-		sortedEST[i] = ests[pi]
-	}
-	p.ends = Cuts(sortedEST, s.Params.ESTTolerance)
-	return p
 }
 
 // SortRun derives the grouping sort keys for the offers and returns

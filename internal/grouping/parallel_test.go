@@ -105,49 +105,51 @@ func TestShardedGrouperSerialFallback(t *testing.T) {
 	}
 }
 
-// TestShardedGroupStream checks the streaming side: batches arrive in
-// increasing contiguous offset order and concatenate to exactly the
-// serial grouping.
-func TestShardedGroupStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	offers := randomOffers(t, rng, 350, 120, 5)
-	p := Params{ESTTolerance: 1, TFTolerance: -1, MaxGroupSize: 6}
-	want := Group(offers, p)
-	for _, workers := range []int{1, 2, 4} {
-		s := &Sharded{Params: p, Workers: workers, MinOffers: -1}
-		var got [][]*flexoffer.FlexOffer
-		for batch := range s.GroupStream(context.Background(), offers) {
-			if batch.Offset != len(got) {
-				t.Fatalf("workers=%d: batch offset %d, want %d (contiguous)", workers, batch.Offset, len(got))
-			}
-			got = append(got, batch.Groups...)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: streamed grouping diverged from serial", workers)
-		}
+// sortedRun returns the offers in the serial stable (est, tf) order
+// together with their keys in that order.
+func sortedRun(offers []*flexoffer.FlexOffer) (sorted []*flexoffer.FlexOffer, sortedEST, sortedTF []int) {
+	ests, tfs := keysOf(offers)
+	perm := sortedPerm(ests, tfs)
+	sorted = make([]*flexoffer.FlexOffer, len(perm))
+	sortedEST = make([]int, len(perm))
+	for i, pi := range perm {
+		sorted[i] = offers[pi]
+		sortedEST[i] = ests[pi]
 	}
+	return sorted, sortedEST, tfsOf(tfs, perm)
 }
 
-// TestShardedGroupStreamSmallInput covers the one-batch fallback.
-func TestShardedGroupStreamSmallInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	offers := randomOffers(t, rng, 25, 8, 3)
-	p := Params{ESTTolerance: 2, TFTolerance: -1}
-	s := &Sharded{Params: p, Workers: 4}
-	var batches []Batch
-	for b := range s.GroupStream(context.Background(), offers) {
-		batches = append(batches, b)
-	}
-	if len(batches) != 1 || batches[0].Offset != 0 {
-		t.Fatalf("small input should stream one batch at offset 0, got %d batches", len(batches))
-	}
-	if !reflect.DeepEqual(Group(offers, p), batches[0].Groups) {
-		t.Fatal("small-input stream diverged from serial")
+// TestPackSortedMatchesPack checks the segmented pack on its own: for
+// every tolerance set and worker count, on a pool and without one, it
+// reproduces one serial Pack over the whole sorted run.
+func TestPackSortedMatchesPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	offers := randomOffers(t, rng, 350, 120, 5)
+	sorted, sortedEST, sortedTF := sortedRun(offers)
+	p4 := pool.New(4)
+	defer p4.Close()
+	for _, p := range []Params{
+		{ESTTolerance: 1, TFTolerance: -1, MaxGroupSize: 6},
+		{ESTTolerance: 0, TFTolerance: 0},
+		{ESTTolerance: 1000, TFTolerance: -1},
+	} {
+		want := Pack(sorted, sortedTF, p)
+		for _, workers := range []int{1, 2, 4} {
+			for _, ex := range []pool.Executor{nil, p4} {
+				got, err := PackSorted(context.Background(), sorted, sortedEST, sortedTF, p, ex, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("params %+v workers=%d pool=%v: segmented pack diverged from Pack", p, workers, ex != nil)
+				}
+			}
+		}
 	}
 }
 
 // TestShardedGrouperCancelled checks that cancellation surfaces as the
-// context's error (Group) and an early-closed stream (GroupStream).
+// context's error from Group and from the segmented pack.
 func TestShardedGrouperCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	offers := randomOffers(t, rng, 100, 50, 4)
@@ -157,12 +159,9 @@ func TestShardedGrouperCancelled(t *testing.T) {
 	if _, err := s.Group(ctx, offers); err != context.Canceled {
 		t.Fatalf("cancelled Group returned %v, want context.Canceled", err)
 	}
-	n := 0
-	for range s.GroupStream(ctx, offers) {
-		n++
-	}
-	if n != 0 {
-		t.Fatalf("cancelled GroupStream delivered %d batches, want 0", n)
+	sorted, sortedEST, sortedTF := sortedRun(offers)
+	if _, err := PackSorted(ctx, sorted, sortedEST, sortedTF, s.Params, nil, 2); err != context.Canceled {
+		t.Fatalf("cancelled PackSorted returned %v, want context.Canceled", err)
 	}
 }
 

@@ -41,8 +41,8 @@
 // walk skips the difference bookkeeping and re-places everything (still
 // reusing cached aggregates, which are placement-independent).
 //
-// A State is the per-engine cached run; Engine/ShardedEngine own one
-// behind WithIncremental and serialize runs on it.
+// A State is the per-engine cached run; each flex.Engine owns one
+// behind WithIncremental and serializes runs on it.
 package inc
 
 import (

@@ -37,7 +37,7 @@ type StreamResult struct {
 }
 
 // ScheduleStream consumes aggregates from items as the aggregation
-// workers produce them (see aggregate.AggregateAllStream) and greedily
+// workers produce them (see aggregate.AggregateGroupsStream) and greedily
 // places each one exactly as Schedule would place the materialized
 // batch in arrival order: items arriving out of group order are parked
 // until their index is next, so the resulting schedule — assignments

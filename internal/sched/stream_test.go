@@ -9,6 +9,7 @@ import (
 
 	"flexmeasures/internal/aggregate"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/timeseries"
 	"flexmeasures/internal/workload"
 )
@@ -50,7 +51,7 @@ func TestScheduleStreamMatchesBatch(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		items, n := aggregate.AggregateAllStream(context.Background(), offers, gp, aggregate.ParallelParams{Workers: workers})
+		items, n := aggregate.AggregateGroupsStream(context.Background(), grouping.Group(offers, gp), aggregate.ParallelParams{Workers: workers})
 		if n != len(ags) {
 			t.Fatalf("workers=%d: stream expects %d groups, batch made %d", workers, n, len(ags))
 		}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	flex "flexmeasures"
 	"flexmeasures/internal/obs"
@@ -376,13 +377,23 @@ func TestDebugTracesEndpoint(t *testing.T) {
 		t.Errorf("X-Request-Id echo: got %q, want my-trace-42", got)
 	}
 
-	resp2, body := get(t, srv.URL+"/debug/traces?n=1")
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/traces: %s", resp2.Status)
-	}
+	// The request's trace finishes into the ring just after its
+	// response is written, so the client can get here first: poll
+	// until the newest trace is the schedule's (or a deadline passes
+	// and the assertions below report what the ring holds).
 	var traces []obs.TraceData
-	if err := json.Unmarshal(body, &traces); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp2, body := get(t, srv.URL+"/debug/traces?n=1")
+		if resp2.StatusCode != http.StatusOK {
+			t.Fatalf("/debug/traces: %s", resp2.Status)
+		}
+		traces = nil
+		if err := json.Unmarshal(body, &traces); err != nil {
+			t.Fatal(err)
+		}
+		if (len(traces) == 1 && traces[0].ID == "my-trace-42") || time.Now().After(deadline) {
+			break
+		}
 	}
 	if len(traces) != 1 {
 		t.Fatalf("?n=1: got %d traces", len(traces))

@@ -74,8 +74,7 @@ type Options struct {
 // copy-on-write offer stores fed by sharded NDJSON ingest and routed
 // by the shard router (zone → ID hash → round-robin), and the paper's
 // aggregate/schedule/measure operations as scatter-gather endpoints.
-// It implements http.Handler; create one with New (single engine) or
-// NewSharded.
+// It implements http.Handler; create one with NewSharded.
 //
 // Routes:
 //
@@ -89,11 +88,11 @@ type Options struct {
 //	GET    /metrics       Prometheus text metrics (per-shard labels)
 //
 // The schedule response bytes are independent of the shard count: the
-// scatter-gather pipeline is bit-identical to a single engine, so
+// scatter-gather pipeline is bit-identical to one shard, so
 // `-shards 8` and `-shards 1` — and `flexctl schedule -pipeline -json`
 // — produce the same body for the same stored offers.
 type Server struct {
-	se   *flex.ShardedEngine
+	se   *flex.Engine
 	opts Options
 	gate chan struct{}
 	m    metrics
@@ -131,18 +130,11 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// New returns a Server serving a single engine — the one-shard special
-// case of NewSharded. The engine is borrowed, not owned: Close it
-// yourself after the HTTP server shuts down.
-func New(eng *flex.Engine, opts Options) *Server {
-	return NewSharded(flex.NewShardedFrom(eng), opts)
-}
-
-// NewSharded returns a Server serving a sharded engine: ingest routes
-// offers across per-shard stores and /v1/schedule runs scatter-gather
-// over them. The engine is borrowed, not owned: Close it yourself
+// NewSharded returns a Server serving an engine: ingest routes offers
+// across per-shard stores (one per engine shard) and /v1/schedule runs
+// scatter-gather over them. The engine is borrowed, not owned: Close it yourself
 // after the HTTP server shuts down.
-func NewSharded(se *flex.ShardedEngine, opts Options) *Server {
+func NewSharded(se *flex.Engine, opts Options) *Server {
 	if opts.MaxInFlight < 1 {
 		workers, _ := se.PoolStats()
 		opts.MaxInFlight = 4 * workers

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,18 +37,6 @@ func testFleet(t *testing.T, n int) ([]*flexoffer.FlexOffer, []byte) {
 		t.Fatal(err)
 	}
 	return offers, buf.Bytes()
-}
-
-// newTestServer starts an httptest server around a fresh engine.
-func newTestServer(t *testing.T, opts Options, engOpts ...flex.Option) (*httptest.Server, *flex.Engine) {
-	t.Helper()
-	eng := flex.New(engOpts...)
-	srv := httptest.NewServer(New(eng, opts))
-	t.Cleanup(func() {
-		srv.Close()
-		eng.Close()
-	})
-	return srv, eng
 }
 
 func post(t *testing.T, url string, body io.Reader) (*http.Response, []byte) {
@@ -82,7 +69,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 
 func TestIngestAndStore(t *testing.T) {
 	offers, ndjson := testFleet(t, 200)
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(3))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(3))
 
 	resp, body := post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
 	if resp.StatusCode != http.StatusOK {
@@ -162,7 +149,7 @@ func TestIngestAndStore(t *testing.T) {
 // re-submissions replace it (last write wins, within and across
 // batches), and offers without an ID always append.
 func TestIngestDedupByID(t *testing.T) {
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(2))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(2))
 	rec := func(id string, max int64) string {
 		line := fmt.Sprintf(`{"earliestStart":0,"latestStart":2,"slices":[{"min":0,"max":%d}],"totalMin":0,"totalMax":%d}`, max, max)
 		if id != "" {
@@ -207,7 +194,7 @@ func TestIngestDedupByID(t *testing.T) {
 func TestStoreLastWriteWins(t *testing.T) {
 	eng := flex.New(flex.WithWorkers(1))
 	defer eng.Close()
-	s := New(eng, Options{})
+	s := NewSharded(eng, Options{})
 	mk := func(id string, max int64) *flexoffer.FlexOffer {
 		f, err := flexoffer.New(0, 2, flexoffer.Slice{Min: 0, Max: max})
 		if err != nil {
@@ -239,7 +226,7 @@ func TestIngestMalformed(t *testing.T) {
 	bad = append(bad, []byte("garbage\n")...)
 	bad = append(bad, ndjson...)
 
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(2))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(2))
 	resp, body := post(t, srv.URL+"/v1/offers?mode=collect", bytes.NewReader(bad))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed ingest: %s, want 400", resp.Status)
@@ -265,7 +252,7 @@ func TestIngestMalformed(t *testing.T) {
 
 func TestAggregateEndpoint(t *testing.T) {
 	offers, ndjson := testFleet(t, 150)
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(3))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(3))
 	post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
 
 	resp, body := post(t, srv.URL+"/v1/aggregate?est=3&max-group=24", nil)
@@ -308,7 +295,7 @@ func TestAggregateEndpoint(t *testing.T) {
 // engine pipeline over the same offers, byte for byte.
 func TestScheduleEndpointEquivalence(t *testing.T) {
 	offers, ndjson := testFleet(t, 200)
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(3), flex.WithSafe(true))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(3), flex.WithSafe(true))
 	post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
 
 	const horizon, cap = 72, 55
@@ -363,7 +350,7 @@ func TestScheduleEndpointEquivalence(t *testing.T) {
 }
 
 func TestScheduleNoOffers(t *testing.T) {
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(1))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(1))
 	resp, _ := post(t, srv.URL+"/v1/schedule", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("schedule with empty store: %s, want 400", resp.Status)
@@ -376,7 +363,7 @@ func TestScheduleNoOffers(t *testing.T) {
 
 func TestMeasuresEndpoint(t *testing.T) {
 	offers, ndjson := testFleet(t, 60)
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(2))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(2))
 	post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
 
 	resp, body := get(t, srv.URL+"/v1/measures?norm=l2")
@@ -408,7 +395,7 @@ func TestMeasuresEndpoint(t *testing.T) {
 // 1, a request arriving while another is in flight is rejected with
 // 429 immediately.
 func TestMaxInFlightGate(t *testing.T) {
-	srv, _ := newTestServer(t, Options{MaxInFlight: 1}, flex.WithWorkers(1))
+	srv, _ := newShardedTestServer(t, 1, Options{MaxInFlight: 1}, flex.WithWorkers(1))
 
 	pr, pw := io.Pipe()
 	errc := make(chan error, 1)
@@ -454,7 +441,7 @@ func TestMaxInFlightGate(t *testing.T) {
 
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ndjson := testFleet(t, 40)
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(2))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(2))
 	post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
 
 	resp, body := get(t, srv.URL+"/healthz")
@@ -484,7 +471,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(1))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(1))
 	resp, _ := get(t, srv.URL+"/v1/aggregate")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/aggregate: %s, want 405", resp.Status)
@@ -498,7 +485,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // sum and count lines.
 func TestRequestLatencyHistograms(t *testing.T) {
 	_, ndjson := testFleet(t, 40)
-	srv, _ := newTestServer(t, Options{}, flex.WithWorkers(2), flex.WithSafe(true))
+	srv, _ := newShardedTestServer(t, 1, Options{}, flex.WithWorkers(2), flex.WithSafe(true))
 
 	resp, body := post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
 	if resp.StatusCode != http.StatusOK {

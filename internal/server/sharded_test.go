@@ -46,7 +46,7 @@ func zonedFleet(t *testing.T, n, zones int) ([]*flexoffer.FlexOffer, []byte) {
 }
 
 // newShardedTestServer starts an httptest server around a fresh
-// sharded engine.
+// engine of the given shard count.
 func newShardedTestServer(t *testing.T, shards int, opts Options, engOpts ...flex.Option) (*httptest.Server, *Server) {
 	t.Helper()
 	se := flex.NewSharded(shards, engOpts...)

@@ -27,7 +27,9 @@ func (r Run) Len() int { return len(r.Offers) }
 // the comparator a total order, so the merged run equals the stable
 // (est, tf) sort of the unsharded store regardless of how the router
 // split the population — the property the bit-identity tests pin.
-// Empty runs are skipped; a nil or empty input yields an empty run.
+// Empty runs are skipped; a nil or empty input yields an empty run. A
+// single non-empty run is already merged and is returned as is, sharing
+// its storage.
 func MergeRuns(runs []Run) Run {
 	live := make([]int, 0, len(runs))
 	total := 0
@@ -37,19 +39,14 @@ func MergeRuns(runs []Run) Run {
 			total += runs[k].Len()
 		}
 	}
+	if len(live) == 1 {
+		return runs[live[0]]
+	}
 	out := Run{
 		Offers: make([]*flexoffer.FlexOffer, 0, total),
 		Seqs:   make([]uint64, 0, total),
 		ESTs:   make([]int, 0, total),
 		TFs:    make([]int, 0, total),
-	}
-	if len(live) == 1 {
-		r := runs[live[0]]
-		out.Offers = append(out.Offers, r.Offers...)
-		out.Seqs = append(out.Seqs, r.Seqs...)
-		out.ESTs = append(out.ESTs, r.ESTs...)
-		out.TFs = append(out.TFs, r.TFs...)
-		return out
 	}
 	idx := make([]int, len(runs))
 	for len(live) > 0 {

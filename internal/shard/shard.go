@@ -17,7 +17,7 @@
 //     the scatter-gather pipeline's equivalence proof rests on.
 //
 // The package is deliberately engine-free: it depends only on the
-// flex-offer model, so flex.ShardedEngine composes it with the engine
+// flex-offer model, so flex.Engine composes it with the engine
 // layer without an import cycle, and a future coordinator process can
 // reuse the same router against remote shards.
 package shard
@@ -32,7 +32,7 @@ import (
 // Sequence numbers are unique across all shards and assigned in ingest
 // order; merging every shard's entries by Seq reproduces the exact
 // offer order a single unsharded store would hold, which is what keeps
-// scatter-gather output bit-identical to a single engine.
+// scatter-gather output bit-identical to a single store.
 type Entry struct {
 	// Offer is the stored flex-offer. Treat it as immutable: entries
 	// are shared between snapshots.
@@ -104,6 +104,9 @@ func (r Router) Route(f *flexoffer.FlexOffer, seq uint64) int {
 // relies on.
 func Partition(offers []*flexoffer.FlexOffer, r Router) [][]Entry {
 	parts := make([][]Entry, r.NumShards())
+	if len(parts) == 1 {
+		parts[0] = make([]Entry, 0, len(offers))
+	}
 	for i, f := range offers {
 		k := r.Route(f, uint64(i))
 		parts[k] = append(parts[k], Entry{Offer: f, Seq: uint64(i)})

@@ -18,17 +18,9 @@ import (
 func newFlexd(t *testing.T, shards int, engOpts ...flex.Option) *Client {
 	t.Helper()
 	opts := append([]flex.Option{flex.WithWorkers(2), flex.WithSafe(true)}, engOpts...)
-	var h *server.Server
-	if shards > 1 {
-		se := flex.NewSharded(shards, opts...)
-		t.Cleanup(se.Close)
-		h = server.NewSharded(se, server.Options{})
-	} else {
-		eng := flex.New(opts...)
-		t.Cleanup(func() { eng.Close() })
-		h = server.New(eng, server.Options{})
-	}
-	srv := httptest.NewServer(h)
+	eng := flex.NewSharded(shards, opts...)
+	t.Cleanup(eng.Close)
+	srv := httptest.NewServer(server.NewSharded(eng, server.Options{}))
 	t.Cleanup(srv.Close)
 	return NewClient(srv.URL, NewMetrics())
 }

@@ -9,7 +9,10 @@ import (
 	"flexmeasures/internal/timeseries"
 )
 
-func pipelineFixture(t *testing.T, n int) ([]*FlexOffer, Series, Config) {
+// pipelineGroup is the grouping the pipeline tests schedule under.
+var pipelineGroup = GroupParams{ESTTolerance: 3, TFTolerance: -1, MaxGroupSize: 24}
+
+func pipelineFixture(t *testing.T, n int) ([]*FlexOffer, Series) {
 	t.Helper()
 	r := rand.New(rand.NewSource(2026))
 	offers, err := Population(r, n, 2, DefaultMix())
@@ -22,13 +25,17 @@ func pipelineFixture(t *testing.T, n int) ([]*FlexOffer, Series, Config) {
 	}
 	horizon := 3 * SlotsPerDay
 	target := WindProfile(r, horizon, expected/int64(horizon))
-	cfg := Config{
-		Group: GroupParams{ESTTolerance: 3, TFTolerance: -1, MaxGroupSize: 24},
-		// Safe aggregation guarantees the disaggregation stage succeeds
-		// for whatever assignment the scheduler picks.
-		Safe: true,
-	}
-	return offers, target, cfg
+	return offers, target
+}
+
+// pipelineEngine returns an engine for the pipeline tests. Safe
+// aggregation guarantees the disaggregation stage succeeds for whatever
+// assignment the scheduler picks.
+func pipelineEngine(t *testing.T, opts ...Option) *Engine {
+	t.Helper()
+	eng := New(append([]Option{WithGrouping(pipelineGroup), WithSafe(true)}, opts...)...)
+	t.Cleanup(eng.Close)
+	return eng
 }
 
 // TestSchedulePipelineMatchesBatch pins the pipeline's defining
@@ -36,12 +43,10 @@ func pipelineFixture(t *testing.T, n int) ([]*FlexOffer, Series, Config) {
 // produces exactly the schedule of the materialized batch sequence, for
 // several worker counts.
 func TestSchedulePipelineMatchesBatch(t *testing.T) {
-	offers, target, cfg := pipelineFixture(t, 400)
+	offers, target := pipelineFixture(t, 400)
 
 	// Materialized reference path.
-	batchCfg := cfg
-	batchCfg.Workers = 1
-	ags, err := AggregateWithConfig(context.Background(), offers, batchCfg)
+	ags, err := pipelineEngine(t, WithWorkers(1)).Aggregate(context.Background(), offers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +54,13 @@ func TestSchedulePipelineMatchesBatch(t *testing.T) {
 	for i, ag := range ags {
 		aggOffers[i] = ag.Offer
 	}
-	batch, err := Schedule(aggOffers, target, ScheduleOptions{})
+	batch, err := pipelineEngine(t, WithWorkers(1)).Schedule(context.Background(), aggOffers, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 2, 4} {
-		cfg.Workers = workers
-		res, err := SchedulePipeline(context.Background(), offers, target, cfg)
+		res, err := pipelineEngine(t, WithWorkers(workers)).Pipeline(context.Background(), offers, target)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -77,9 +81,8 @@ func TestSchedulePipelineMatchesBatch(t *testing.T) {
 // constituent assignment is valid and the slot-wise sums reproduce the
 // aggregate schedule (the grid-level profile survives disaggregation).
 func TestSchedulePipelineDisaggregationValid(t *testing.T) {
-	offers, target, cfg := pipelineFixture(t, 250)
-	cfg.Workers = 4
-	res, err := SchedulePipeline(context.Background(), offers, target, cfg)
+	offers, target := pipelineFixture(t, 250)
+	res, err := pipelineEngine(t, WithWorkers(4)).Pipeline(context.Background(), offers, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +107,14 @@ func TestSchedulePipelineDisaggregationValid(t *testing.T) {
 
 // TestSchedulePipelinePeakCap: the cap reaches the streaming scheduler.
 func TestSchedulePipelinePeakCap(t *testing.T) {
-	offers, target, cfg := pipelineFixture(t, 150)
-	cfg.Workers = 2
-	uncapped, err := SchedulePipeline(context.Background(), offers, target, cfg)
+	offers, target := pipelineFixture(t, 150)
+	eng := pipelineEngine(t, WithWorkers(2))
+	uncapped, err := eng.Pipeline(context.Background(), offers, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := uncapped.AggregateSchedule.PeakLoad()
-	cfg.PeakCap = base * 3 / 4
-	capped, err := SchedulePipeline(context.Background(), offers, target, cfg)
+	capped, err := eng.Pipeline(context.Background(), offers, target, WithPeakCap(base*3/4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +124,17 @@ func TestSchedulePipelinePeakCap(t *testing.T) {
 }
 
 func TestSchedulePipelineNoOffers(t *testing.T) {
-	_, target, cfg := pipelineFixture(t, 10)
-	if _, err := SchedulePipeline(context.Background(), nil, target, cfg); err == nil {
+	_, target := pipelineFixture(t, 10)
+	if _, err := pipelineEngine(t).Pipeline(context.Background(), nil, target); err == nil {
 		t.Fatal("empty pipeline must error")
 	}
 }
 
 func TestSchedulePipelineCancelled(t *testing.T) {
-	offers, target, cfg := pipelineFixture(t, 100)
+	offers, target := pipelineFixture(t, 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SchedulePipeline(ctx, offers, target, cfg); err == nil {
+	if _, err := pipelineEngine(t).Pipeline(ctx, offers, target); err == nil {
 		t.Fatal("cancelled pipeline must error")
 	}
 }

@@ -10,51 +10,18 @@ import (
 
 // Scheduling (Scenario 1).
 type (
-	// ScheduleOptions configures the greedy scheduler.
-	ScheduleOptions = sched.Options
 	// ScheduleResult is a complete schedule with its load series.
 	ScheduleResult = sched.Result
 	// ScheduleOrder selects the greedy placement order.
 	ScheduleOrder = sched.Order
 )
 
-// Placement orders for ScheduleOptions.Order.
+// Placement orders for WithPlacement.
 const (
 	OrderArrival            = sched.OrderArrival
 	OrderLeastFlexibleFirst = sched.OrderLeastFlexibleFirst
 	OrderMostFlexibleFirst  = sched.OrderMostFlexibleFirst
-	OrderRandom             = sched.OrderRandom
 )
-
-// Schedule greedily assigns all offers so the total load tracks the
-// target series; see the sched package for the heuristic's details.
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Schedule] — [WithPlacement] and [WithPlacementMeasure] cover
-// the flexibility-ranked placement orders. This shim remains only for
-// OrderRandom (which needs a caller-owned rand source) and the legacy
-// full-recompute evaluator.
-func Schedule(offers []*FlexOffer, target Series, opts ScheduleOptions) (*ScheduleResult, error) {
-	return sched.Schedule(offers, target, opts)
-}
-
-// Improve refines a schedule by local search (re-placing each offer
-// against the residual target) until convergence or maxRounds; the
-// imbalance never increases.
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Improve].
-func Improve(offers []*FlexOffer, target Series, res *ScheduleResult, maxRounds int) (*ScheduleResult, error) {
-	return sched.Improve(offers, target, res, maxRounds)
-}
-
-// ScheduleAndImprove runs Schedule followed by Improve.
-//
-// Deprecated: create a long-lived [Engine] with [New] and call
-// [Engine.Schedule] followed by [Engine.Improve].
-func ScheduleAndImprove(offers []*FlexOffer, target Series, opts ScheduleOptions, maxRounds int) (*ScheduleResult, error) {
-	return sched.ScheduleAndImprove(offers, target, opts, maxRounds)
-}
 
 // Market (Scenario 2).
 type (

@@ -1,6 +1,7 @@
 package flex
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -128,14 +129,21 @@ func TestFacadeScheduleAndImprove(t *testing.T) {
 		offers = append(offers, f)
 	}
 	target := NewSeries(0, 2, 2, 2, 2, 2, 2, 2)
-	res, err := ScheduleAndImprove(offers, target, ScheduleOptions{}, 0)
+	eng := New(WithWorkers(1))
+	defer eng.Close()
+	ctx := context.Background()
+	base, err := eng.Schedule(ctx, offers, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Improve(ctx, offers, target, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Imbalance(target) > 4 {
 		t.Fatalf("imbalance = %g", res.Imbalance(target))
 	}
-	capped, err := Schedule(offers, target, ScheduleOptions{PeakCap: 2})
+	capped, err := eng.Schedule(ctx, offers, target, WithPeakCap(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +180,9 @@ func TestFacadeBalanceGroupsAndSafeAll(t *testing.T) {
 	if len(groups) != 1 {
 		t.Fatalf("balance groups = %d, want 1", len(groups))
 	}
-	ags, err := AggregateAllSafe([]*FlexOffer{a, a.Clone()}, GroupParams{ESTTolerance: 1, TFTolerance: -1})
+	eng := New(WithWorkers(1), WithSafe(true), WithGrouping(GroupParams{ESTTolerance: 1, TFTolerance: -1}))
+	defer eng.Close()
+	ags, err := eng.Aggregate(context.Background(), []*FlexOffer{a, a.Clone()})
 	if err != nil || len(ags) != 1 {
 		t.Fatalf("safe all = %d, %v", len(ags), err)
 	}

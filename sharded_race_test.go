@@ -11,7 +11,7 @@ import (
 	"flexmeasures/internal/timeseries"
 )
 
-// TestShardedEngineHammer drives one ShardedEngine from 12 goroutines
+// TestShardedEngineHammer drives one multi-shard Engine from 12 goroutines
 // mixing ingest-style store mutation with schedule/aggregate/measure
 // calls — the -race exercise for the scatter-gather machinery and the
 // copy-on-write shard store it serves. Correctness of results is

@@ -34,11 +34,13 @@ func shardedFleet(t *testing.T, seed int64, n, zones int) []*FlexOffer {
 	return offers
 }
 
-// TestShardedEngineMatchesEngine is the PR's bit-identity property
+// TestShardedEngineMatchesEngine is the engine's bit-identity property
 // test: for every shard count × worker count × input permutation, the
 // scatter-gather pipeline (and aggregation and measures) over the
-// partitioned population equals a single engine's output on the same
-// input, DeepEqual-exact.
+// partitioned population equals the stateless serial chain on the same
+// input — grouping.Group, AggregateSafe per group, sched.Schedule in
+// arrival order under the same peak cap, Disaggregate per aggregate,
+// and the per-offer measure loop — DeepEqual-exact.
 func TestShardedEngineMatchesEngine(t *testing.T) {
 	base := shardedFleet(t, 41, 400, 5)
 	horizon := 96
@@ -47,73 +49,52 @@ func TestShardedEngineMatchesEngine(t *testing.T) {
 		{ESTTolerance: 3, TFTolerance: -1, MaxGroupSize: 32},
 		{ESTTolerance: 0, TFTolerance: 0},
 	}
+	const peakCap = 55
 	permRng := rand.New(rand.NewSource(42))
-	for _, workers := range []int{1, 2, 3} {
-		for gi, gp := range groupings {
-			opts := []Option{WithWorkers(workers), WithSafe(true), WithGrouping(gp), WithPeakCap(55)}
-			eng := New(opts...)
-			for perm := 0; perm < 3; perm++ {
-				offers := append([]*FlexOffer(nil), base...)
-				if perm > 0 {
-					permRng.Shuffle(len(offers), func(i, j int) {
-						offers[i], offers[j] = offers[j], offers[i]
-					})
-				}
-				want, err := eng.Pipeline(context.Background(), offers, target)
-				if err != nil {
-					t.Fatalf("workers=%d gp=%d perm=%d: single engine: %v", workers, gi, perm, err)
-				}
-				wantAgs, err := eng.Aggregate(context.Background(), offers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantTab, err := eng.Measures(context.Background(), offers)
-				if err != nil {
-					t.Fatal(err)
-				}
+	for gi, gp := range groupings {
+		for perm := 0; perm < 3; perm++ {
+			offers := append([]*FlexOffer(nil), base...)
+			if perm > 0 {
+				permRng.Shuffle(len(offers), func(i, j int) {
+					offers[i], offers[j] = offers[j], offers[i]
+				})
+			}
+			want := serialPipeline(t, offers, target, gp, true, peakCap)
+			wantTab := expectedMeasureTable(t, measureSet(L1), offers)
+			for _, workers := range []int{1, 2, 3} {
 				for _, shards := range []int{1, 2, 4, 8} {
-					se := NewSharded(shards, opts...)
-					got, err := se.Pipeline(context.Background(), offers, target)
+					eng := NewSharded(shards, WithWorkers(workers), WithSafe(true), WithGrouping(gp), WithPeakCap(peakCap))
+					got, err := eng.Pipeline(context.Background(), offers, target)
 					if err != nil {
 						t.Fatalf("shards=%d workers=%d gp=%d perm=%d: %v", shards, workers, gi, perm, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Errorf("shards=%d workers=%d gp=%d perm=%d: pipeline result differs from single engine", shards, workers, gi, perm)
+						t.Errorf("shards=%d workers=%d gp=%d perm=%d: pipeline result differs from the serial oracle", shards, workers, gi, perm)
 					}
-					gotAgs, err := se.Aggregate(context.Background(), offers)
+					gotAgs, err := eng.Aggregate(context.Background(), offers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(gotAgs, wantAgs) {
-						t.Errorf("shards=%d workers=%d gp=%d perm=%d: aggregates differ from single engine", shards, workers, gi, perm)
+					if !reflect.DeepEqual(gotAgs, want.Aggregates) {
+						t.Errorf("shards=%d workers=%d gp=%d perm=%d: aggregates differ from the serial oracle", shards, workers, gi, perm)
 					}
-					gotTab, err := se.Measures(context.Background(), offers)
+					gotTab, err := eng.Measures(context.Background(), offers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(gotTab, wantTab) {
-						t.Errorf("shards=%d workers=%d gp=%d perm=%d: measures differ from single engine", shards, workers, gi, perm)
+					if !measureTablesEqual(gotTab, wantTab) {
+						t.Errorf("shards=%d workers=%d gp=%d perm=%d: measures differ from the serial oracle", shards, workers, gi, perm)
 					}
-					se.Close()
+					eng.Close()
 				}
-				eng2 := New(WithWorkers(1), WithSafe(true), WithGrouping(gp), WithPeakCap(55))
-				serial, err := eng2.Pipeline(context.Background(), offers, target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(serial, want) {
-					t.Errorf("workers=%d gp=%d perm=%d: parallel single engine differs from serial", workers, gi, perm)
-				}
-				eng2.Close()
 			}
-			eng.Close()
 		}
 	}
 }
 
 // TestShardedEngineRoutedStability checks that pre-routed calls (the
 // path flexd takes through its shard store) agree with the partition
-// convenience path and with a single engine.
+// convenience path and with a one-shard engine.
 func TestShardedEngineRoutedStability(t *testing.T) {
 	offers := shardedFleet(t, 43, 250, 3)
 	target := timeseries.Constant(0, 48, 25)
@@ -132,7 +113,7 @@ func TestShardedEngineRoutedStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("PipelineRouted differs from single engine")
+		t.Fatal("PipelineRouted differs from a one-shard engine")
 	}
 	sr, err := se.ScheduleRouted(context.Background(), parts, target)
 	if err != nil {
@@ -143,7 +124,7 @@ func TestShardedEngineRoutedStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sr, wantSR) {
-		t.Fatal("ScheduleRouted differs from single engine Schedule")
+		t.Fatal("ScheduleRouted differs from a one-shard engine Schedule")
 	}
 }
 
@@ -175,7 +156,7 @@ func TestShardedEngineCustomKey(t *testing.T) {
 }
 
 // TestShardedEngineEmptyAndErrors pins the edge and error paths to the
-// single-engine behaviour.
+// one-shard behaviour.
 func TestShardedEngineEmptyAndErrors(t *testing.T) {
 	target := timeseries.Constant(0, 24, 10)
 	se := NewSharded(4, WithWorkers(2))
@@ -191,7 +172,7 @@ func TestShardedEngineEmptyAndErrors(t *testing.T) {
 
 	offers := shardedFleet(t, 45, 50, 2)
 	if _, err := se.Pipeline(context.Background(), offers, target, WithPlacement(OrderLeastFlexibleFirst)); err == nil {
-		t.Fatal("non-arrival placement should fail like the single engine")
+		t.Fatal("non-arrival placement should fail like a one-shard engine")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
