@@ -107,6 +107,22 @@ func BenchmarkValidAssignmentCountDP(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasures50k is Engine.Measures, the evaluation behind
+// GET /v1/measures, over 50k offers on a one-shard engine with the
+// default worker count.
+func BenchmarkMeasures50k(b *testing.B) {
+	offers := benchOffers(50000)
+	eng := New()
+	defer eng.Close()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Measures(ctx, offers); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchGroup is the grouping the aggregation and pipeline benchmarks
 // run under.
 var benchGroup = GroupParams{ESTTolerance: 4, TFTolerance: -1, MaxGroupSize: 64}

@@ -606,13 +606,15 @@ type MeasureTable struct {
 // offer — the vector and series measures under the engine's norm,
 // overridable per call with WithNorm — plus the set-level values. The
 // per-offer rows fan out in contiguous blocks across the shard pools;
-// the set-level row is computed at the gather point. Undefined values
-// are reported as NaN rather than failing the batch.
+// the set-level row is folded from them at the gather point (foldSet).
+// Undefined values are reported as NaN rather than failing the batch.
 func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Option) (*MeasureTable, error) {
 	o := e.resolve(opts)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	_, sp := obs.Start(ctx, obs.StageMeasures)
+	defer sp.End()
 	ms := measureSet(o.norm)
 	t := &MeasureTable{
 		Names:  make([]string, len(ms)),
@@ -644,14 +646,37 @@ func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Opti
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for j, m := range ms {
-		v, err := m.SetValue(offers)
-		if err != nil {
-			v = math.NaN()
-		}
-		t.Set[j] = v
-	}
+	foldSet(t, ms, offers)
 	return t, nil
+}
+
+// foldSet fills t.Set from the finished rows. Summing column j in
+// offer order from +0 repeats the additions of the measures' summation
+// SetValue exactly, and an offer whose value failed is NaN in its row,
+// so the sum is NaN where SetValue would fail: the fold is
+// bit-identical to m.SetValue without evaluating any measure a second
+// time. The relative area measure
+// averages the sum; the assignments measure needs the exact counts
+// rather than their rounded row values, so it keeps its own SetValue.
+func foldSet(t *MeasureTable, ms []Measure, offers []*FlexOffer) {
+	for j, m := range ms {
+		if _, exact := m.(core.AssignmentsMeasure); exact || len(offers) == 0 {
+			v, err := m.SetValue(offers)
+			if err != nil {
+				v = math.NaN()
+			}
+			t.Set[j] = v
+			continue
+		}
+		var sum float64
+		for _, row := range t.Values {
+			sum += row[j]
+		}
+		if _, avg := m.(core.RelativeAreaMeasure); avg {
+			sum /= float64(len(offers))
+		}
+		t.Set[j] = sum
+	}
 }
 
 // MeasuresRouted is Measures over pre-routed parts, flattened back

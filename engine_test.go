@@ -211,13 +211,15 @@ func expectedMeasureTable(t *testing.T, measures []Measure, offers []*FlexOffer)
 	return mt
 }
 
-// measureTablesEqual compares tables treating NaN as equal to NaN.
+// measureTablesEqual compares tables bit for bit, so +0 and −0 (which
+// encode as 0 and -0 on the wire) differ, treating NaN as equal to NaN
+// (every NaN encodes as null).
 func measureTablesEqual(a, b *MeasureTable) bool {
 	if !reflect.DeepEqual(a.Names, b.Names) || len(a.Values) != len(b.Values) || len(a.Set) != len(b.Set) {
 		return false
 	}
 	eq := func(x, y float64) bool {
-		return x == y || (math.IsNaN(x) && math.IsNaN(y))
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 	}
 	for j := range a.Set {
 		if !eq(a.Set[j], b.Set[j]) {
@@ -272,6 +274,54 @@ func TestEngineMeasures(t *testing.T) {
 	}
 	if a.Names[3] == b.Names[3] {
 		t.Errorf("vector measure name did not change with the norm: %q vs %q", a.Names[3], b.Names[3])
+	}
+}
+
+// TestEngineMeasuresUndefinedCells pins the set row folded from the
+// per-offer rows against SetValue where cells are undefined: offers
+// with TotalMin = TotalMax = 0 make relative_area fail (ErrZeroTotals),
+// which must turn its set value NaN wherever in the fleet they sit,
+// next to mixed offers and under every norm and shard count. An empty
+// fleet has no set values at all (ErrEmptySet).
+func TestEngineMeasuresUndefinedCells(t *testing.T) {
+	mix, _ := engineTestFleet(t, 60)
+	zero := &FlexOffer{EarliestStart: 2, LatestStart: 5, Slices: []Slice{{Min: -2, Max: 2}, {Min: 0, Max: 1}}}
+	flat := &FlexOffer{EarliestStart: 0, LatestStart: 0, Slices: []Slice{{Min: 0, Max: 0}}}
+	mixed := &FlexOffer{EarliestStart: 1, LatestStart: 4, Slices: []Slice{{Min: -3, Max: 4}, {Min: -1, Max: 2}}, TotalMin: -2, TotalMax: 5}
+	for _, f := range []*FlexOffer{zero, flat, mixed} {
+		if err := f.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleets := map[string][]*FlexOffer{
+		"zero totals first": append([]*FlexOffer{zero, mixed}, mix...),
+		"zero totals last":  append(append([]*FlexOffer{mixed}, mix...), flat),
+		"zero totals only":  {zero, flat},
+		"mixed only":        {mixed, mixed, mixed},
+		"empty":             nil,
+	}
+	const relArea = 7
+	for name, offers := range fleets {
+		for _, norm := range []Norm{L1, L2, LInf} {
+			want := expectedMeasureTable(t, measureSet(norm), offers)
+			if want.Names[relArea] != "relative_area" {
+				t.Fatalf("column %d is %q", relArea, want.Names[relArea])
+			}
+			if undefined := name != "mixed only"; undefined != math.IsNaN(want.Set[relArea]) {
+				t.Fatalf("%s: oracle relative_area set value %v", name, want.Set[relArea])
+			}
+			for _, shards := range []int{1, 3} {
+				eng := NewSharded(shards, WithWorkers(2), WithNorm(norm))
+				got, err := eng.Measures(context.Background(), offers)
+				eng.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !measureTablesEqual(want, got) {
+					t.Errorf("%s norm=%v shards=%d: Engine.Measures diverged from the serial oracle", name, norm, shards)
+				}
+			}
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 
 	"flexmeasures/internal/flexoffer"
 	"flexmeasures/internal/timeseries"
@@ -265,7 +267,11 @@ func (AssignmentsMeasure) Name() string { return "assignments" }
 
 // Value implements Measure. Counts beyond 2^53 lose precision in the
 // float64 conversion; AssignmentFlexibility returns the exact count.
+// Both conversions below round the exact count to nearest even.
 func (AssignmentsMeasure) Value(f *flexoffer.FlexOffer) (float64, error) {
+	if n, ok := smallAssignmentCount(f); ok {
+		return float64(n), nil
+	}
 	v, _ := new(big.Float).SetInt(AssignmentFlexibility(f)).Float64()
 	return v, nil
 }
@@ -273,16 +279,78 @@ func (AssignmentsMeasure) Value(f *flexoffer.FlexOffer) (float64, error) {
 // SetValue implements Measure by "counting the number of possible
 // assignments for the whole set" (Section 4): the offers choose their
 // assignments independently, so the combined count is the product.
+//
+// The result is exactly the float64 nearest to the product, without
+// forming the product of a large fleet: a nonzero count c satisfies
+// |c| ≥ 2^(BitLen(c)−1), so once Σ(BitLen−1) reaches 1024 the product
+// is beyond float64 range and the value is ±Inf, its sign the parity
+// of the negative counts. Until then the counts are multiplied
+// exactly; fewer than 1024 of them exceed 1 in magnitude, so the
+// running product stays below 2^2048 and each multiplication is cheap.
 func (AssignmentsMeasure) SetValue(fs []*flexoffer.FlexOffer) (float64, error) {
 	if len(fs) == 0 {
 		return 0, ErrEmptySet
 	}
-	total := big.NewInt(1)
+	var (
+		total = big.NewInt(1) // ∏ c while exp < overflowExp
+		exp   int             // Σ (BitLen(|c|) − 1): |∏ c| ≥ 2^exp
+		neg   bool            // odd number of negative counts
+		small big.Int
+	)
 	for _, f := range fs {
-		total.Mul(total, AssignmentFlexibility(f))
+		var c *big.Int
+		if n, ok := smallAssignmentCount(f); ok {
+			c = small.SetUint64(n)
+		} else {
+			c = AssignmentFlexibility(f)
+			switch c.Sign() {
+			case 0:
+				return 0, nil
+			case -1:
+				neg = !neg
+			}
+		}
+		if exp += c.BitLen() - 1; exp < overflowExp {
+			total.Mul(total, c)
+		}
+	}
+	if exp >= overflowExp {
+		if neg {
+			return math.Inf(-1), nil
+		}
+		return math.Inf(1), nil
 	}
 	v, _ := new(big.Float).SetInt(total).Float64()
 	return v, nil
+}
+
+// overflowExp is the binary exponent at which a product's magnitude
+// leaves float64 range: every value ≥ 2^1024 rounds to ±Inf.
+const overflowExp = 1024
+
+// smallAssignmentCount returns f's Definition 8 count when every factor
+// is positive and the count fits in a uint64; ok is false otherwise,
+// leaving the count to AssignmentFlexibility's big integer. The
+// factors are those of flexoffer.AssignmentCount, so the two agree
+// wherever ok is true.
+func smallAssignmentCount(f *flexoffer.FlexOffer) (n uint64, ok bool) {
+	t := int64(f.TimeFlexibility() + 1)
+	if t <= 0 {
+		return 0, false
+	}
+	n = uint64(t)
+	for _, s := range f.Slices {
+		k := s.Span() + 1
+		if k <= 0 {
+			return 0, false
+		}
+		hi, lo := bits.Mul64(n, uint64(k))
+		if hi != 0 {
+			return 0, false
+		}
+		n = lo
+	}
+	return n, true
 }
 
 // Characteristics implements Measure (Table 1, column "Assignments").

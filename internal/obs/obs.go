@@ -37,6 +37,11 @@ const (
 	StageWALAppend    = "wal_append"
 	StageWALFsync     = "wal_fsync"
 	StagePoolQueue    = "pool_queue"
+	// StageMeasures is Engine.Measures, behind GET /v1/measures: a
+	// read path beside the pipeline, not one of its steps. It is not
+	// listed in Stages, whose entries perfbench reports as the
+	// obs.<stage>_ms metrics BENCHMARK.json names.
+	StageMeasures = "measures"
 )
 
 // Stages lists every stage name, in pipeline order. Used by the

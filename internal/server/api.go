@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"strconv"
 
 	flex "flexmeasures"
 	"flexmeasures/internal/flexoffer"
@@ -307,13 +308,92 @@ func DecodeResponse(r io.Reader, v any) error {
 
 // EncodeResponse writes v as one line of compact JSON — the single
 // serialization path of every wire type, shared by the HTTP handlers
-// and flexctl -json so their bytes can be compared directly.
+// and flexctl -json so their bytes can be compared directly. A
+// *MeasuresResponse, one float per offer and measure, takes an
+// append-based path that writes the same bytes as json.Marshal.
 func EncodeResponse(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
+	var data []byte
+	if m, ok := v.(*MeasuresResponse); ok && m != nil {
+		data = appendMeasuresResponse(m)
+	} else {
+		var err error
+		if data, err = json.Marshal(v); err != nil {
+			return err
+		}
 	}
 	data = append(data, '\n')
-	_, err = w.Write(data)
+	_, err := w.Write(data)
 	return err
+}
+
+// appendMeasuresResponse renders m as json.Marshal(m) does, into one
+// buffer sized for the table, without reflection or a MarshalJSON call
+// per cell.
+func appendMeasuresResponse(m *MeasuresResponse) []byte {
+	names, _ := json.Marshal(m.Names) // a []string always marshals
+	cells := len(m.Set)
+	for _, row := range m.Values {
+		cells += len(row) + 1 // a row's brackets count as one cell
+	}
+	b := make([]byte, 0, len(names)+32+cells*cellBytes)
+	b = append(b, `{"names":`...)
+	b = append(b, names...)
+	b = append(b, `,"values":`...)
+	if m.Values == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, row := range m.Values {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONFloats(b, row)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"set":`...)
+	b = appendJSONFloats(b, m.Set)
+	return append(b, '}')
+}
+
+// cellBytes is the buffer budget per measures cell: most cells are
+// short integers or nulls, so the buffer rarely has to grow.
+const cellBytes = 12
+
+// appendJSONFloats appends xs as a JSON array, null for a nil slice.
+func appendJSONFloats(b []byte, xs []JSONFloat) []byte {
+	if xs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for j, x := range xs {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, float64(x))
+	}
+	return append(b, ']')
+}
+
+// appendJSONFloat appends x as JSONFloat.MarshalJSON encodes it: null
+// when x is NaN or infinite, otherwise encoding/json's float64 form —
+// the shortest 'f' representation, or 'e' when |x| < 1e-6 or
+// |x| ≥ 1e21, with a two-digit negative exponent shortened (e-07 →
+// e-7).
+func appendJSONFloat(b []byte, x float64) []byte {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }

@@ -189,9 +189,35 @@ func TestTracePipelineE2E(t *testing.T) {
 			sawOffers, sawGroups)
 	}
 
+	// A measures request adds its own stage beside the pipeline's. Its
+	// trace finishes into the ring just after the response is written,
+	// so poll until the newest trace holds the span.
+	if resp, body := get(t, srv.URL+"/v1/measures"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("measures: %s: %s", resp.Status, body)
+	}
+	sawMeasures := false
+	for deadline := time.Now().Add(5 * time.Second); !sawMeasures && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		resp, body := get(t, srv.URL+"/debug/traces?n=1")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/debug/traces: %s", resp.Status)
+		}
+		traces = nil
+		if err := json.Unmarshal(body, &traces); err != nil {
+			t.Fatal(err)
+		}
+		for _, td := range traces {
+			for _, sp := range td.Spans {
+				sawMeasures = sawMeasures || (sp.Name == obs.StageMeasures && sp.DurationNs > 0)
+			}
+		}
+	}
+	if !sawMeasures {
+		t.Errorf("newest trace after GET /v1/measures has no ended %q span: %+v", obs.StageMeasures, traces)
+	}
+
 	// Every stage must also have landed a histogram sample.
 	_, metrics := get(t, srv.URL+"/metrics")
-	for _, stage := range want {
+	for _, stage := range append(want, obs.StageMeasures) {
 		prefix := fmt.Sprintf("flexd_stage_seconds_count{stage=%q", stage)
 		if !metricSamplePositive(string(metrics), prefix) {
 			t.Errorf("/metrics: no positive flexd_stage_seconds sample for stage %q", stage)
@@ -248,6 +274,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if resp, body := post(t, srv.URL+"/v1/schedule?horizon=48&est=3", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("schedule: %s: %s", resp.Status, body)
+	}
+	if resp, body := get(t, srv.URL+"/v1/measures"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("measures: %s: %s", resp.Status, body)
 	}
 	// Unknown paths: distinct URLs, one shared label.
 	for _, p := range []string{"/nope", "/v1/unknown", "/admin/../etc"} {
@@ -318,6 +347,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(metrics, `flexd_stage_seconds_count{stage="schedule"}`) {
 		t.Error("flexd_stage_seconds missing _count for stage schedule")
+	}
+	if !strings.Contains(metrics, `flexd_stage_seconds_bucket{stage="measures",le="+Inf"}`) ||
+		!metricSamplePositive(metrics, `flexd_stage_seconds_count{stage="measures"}`) {
+		t.Error("flexd_stage_seconds missing a sample for stage measures")
 	}
 	if !strings.Contains(metrics, `flexd_pool_queue_seconds_bucket{le="+Inf"}`) {
 		t.Error("flexd_pool_queue_seconds missing +Inf bucket")
