@@ -115,6 +115,7 @@ func BenchmarkMeasures50k(b *testing.B) {
 	eng := New()
 	defer eng.Close()
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Measures(ctx, offers); err != nil {

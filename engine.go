@@ -595,7 +595,8 @@ type MeasureTable struct {
 	Names []string
 	// Values[i][j] is measure j evaluated on offer i; NaN where the
 	// measure is undefined for the offer (e.g. the relative area
-	// measure on a mixed offer).
+	// measure on a mixed offer). The rows share one backing array,
+	// each capacity-capped at its own length.
 	Values [][]float64
 	// Set[j] is measure j's set-level value over all offers; NaN where
 	// undefined.
@@ -604,11 +605,47 @@ type MeasureTable struct {
 
 // Measures evaluates the paper's eight flexibility measures on every
 // offer — the vector and series measures under the engine's norm,
-// overridable per call with WithNorm — plus the set-level values. The
-// per-offer rows fan out in contiguous blocks across the shard pools;
-// the set-level row is folded from them at the gather point (foldSet).
-// Undefined values are reported as NaN rather than failing the batch.
+// overridable per call with WithNorm — plus the set-level values. It is
+// MeasuresEach without a callback. Undefined values are reported as
+// NaN rather than failing the batch.
 func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Option) (*MeasureTable, error) {
+	return e.MeasuresEach(ctx, offers, nil, opts...)
+}
+
+// MeasureNames returns the column names Measures reports under the
+// engine's options with the per-call overrides applied — the Names of
+// every table it would return — without evaluating anything.
+func (e *Engine) MeasureNames(opts ...Option) []string {
+	return measureNames(measureSet(e.resolve(opts).norm))
+}
+
+// measureNames returns the names of ms, in order.
+func measureNames(ms []Measure) []string {
+	names := make([]string, len(ms))
+	for j, m := range ms {
+		names[j] = m.Name()
+	}
+	return names
+}
+
+// MeasuresBlock is the number of offers per block of the measures
+// evaluator: MeasuresEach hands its callback the rows of offers
+// [lo, lo+MeasuresBlock), fewer in the fleet's last block.
+const MeasuresBlock = 256
+
+// MeasuresEach is the measures evaluator. All rows live in one
+// row-major slab of len(offers)×8 values, filled in contiguous blocks
+// of MeasuresBlock offers fanned out across the shard pools; each row
+// of the table is a capacity-capped view of its slab segment, so an
+// append to one row cannot overwrite the next. When each is non-nil
+// it is called on the worker that filled a block, as soon as that
+// block is done, with the block's first offer index and its rows (the
+// table's own rows, which the callback must not modify) — concurrently
+// for different blocks and in no particular order. A cancelled
+// context skips the blocks not yet started, and their callbacks. Once
+// every block is done the set-level row is folded from the slab
+// (foldSet).
+func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each func(lo int, rows [][]float64), opts ...Option) (*MeasureTable, error) {
 	o := e.resolve(opts)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -616,49 +653,64 @@ func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Opti
 	_, sp := obs.Start(ctx, obs.StageMeasures)
 	defer sp.End()
 	ms := measureSet(o.norm)
+	w := len(ms)
 	t := &MeasureTable{
-		Names:  make([]string, len(ms)),
+		Names:  measureNames(ms),
 		Values: make([][]float64, len(offers)),
-		Set:    make([]float64, len(ms)),
+		Set:    make([]float64, w),
 	}
-	for j, m := range ms {
-		t.Names[j] = m.Name()
+	slab := make([]float64, len(offers)*w)
+	for i := range t.Values {
+		t.Values[i] = slab[i*w : (i+1)*w : (i+1)*w]
 	}
 	done := ctx.Done()
-	e.forBlocks(len(offers), func(k, lo, hi int) {
-		e.runIndexed(k, hi-lo, func(i int) {
+	blocks := (len(offers) + MeasuresBlock - 1) / MeasuresBlock
+	e.forBlocks(blocks, func(k, blo, bhi int) {
+		e.runIndexed(k, bhi-blo, func(b int) {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			row := make([]float64, len(ms))
-			for j, m := range ms {
-				v, err := m.Value(offers[lo+i])
-				if err != nil {
-					v = math.NaN()
+			lo := (blo + b) * MeasuresBlock
+			hi := min(lo+MeasuresBlock, len(offers))
+			for i, f := range offers[lo:hi] {
+				row := t.Values[lo+i]
+				for j, m := range ms {
+					v, err := m.Value(f)
+					if err != nil {
+						v = math.NaN()
+					}
+					row[j] = v
 				}
-				row[j] = v
 			}
-			t.Values[lo+i] = row
+			if each != nil {
+				each(lo, t.Values[lo:hi])
+			}
 		})
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	foldSet(t, ms, offers)
+	foldSet(t, ms, slab, offers)
 	return t, nil
 }
 
-// foldSet fills t.Set from the finished rows. Summing column j in
-// offer order from +0 repeats the additions of the measures' summation
-// SetValue exactly, and an offer whose value failed is NaN in its row,
-// so the sum is NaN where SetValue would fail: the fold is
-// bit-identical to m.SetValue without evaluating any measure a second
-// time. The relative area measure
-// averages the sum; the assignments measure needs the exact counts
-// rather than their rounded row values, so it keeps its own SetValue.
-func foldSet(t *MeasureTable, ms []Measure, offers []*FlexOffer) {
+// foldSet fills t.Set from the finished row-major slab. Summing
+// column j in offer order from +0 repeats the additions of the
+// measures' summation SetValue exactly, and an offer whose value
+// failed is NaN in its row, so the sum is NaN where SetValue would
+// fail: the fold is bit-identical to m.SetValue without evaluating any
+// measure a second time. The relative area measure averages the sum;
+// the assignments measure needs the exact counts rather than their
+// rounded row values, so it keeps its own SetValue.
+func foldSet(t *MeasureTable, ms []Measure, slab []float64, offers []*FlexOffer) {
+	w := len(ms)
+	for lo := 0; lo < len(slab); lo += w {
+		for j, v := range slab[lo : lo+w] {
+			t.Set[j] += v
+		}
+	}
 	for j, m := range ms {
 		if _, exact := m.(core.AssignmentsMeasure); exact || len(offers) == 0 {
 			v, err := m.SetValue(offers)
@@ -668,14 +720,9 @@ func foldSet(t *MeasureTable, ms []Measure, offers []*FlexOffer) {
 			t.Set[j] = v
 			continue
 		}
-		var sum float64
-		for _, row := range t.Values {
-			sum += row[j]
-		}
 		if _, avg := m.(core.RelativeAreaMeasure); avg {
-			sum /= float64(len(offers))
+			t.Set[j] /= float64(len(offers))
 		}
-		t.Set[j] = sum
 	}
 }
 

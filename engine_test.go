@@ -257,6 +257,12 @@ func TestEngineMeasures(t *testing.T) {
 			if !measureTablesEqual(want, got) {
 				t.Fatalf("norm=%v workers=%d: Engine.Measures diverged from serial baseline", norm, workers)
 			}
+			// The rows share one slab; appending to one must not
+			// overwrite the next.
+			next := got.Values[1][0]
+			if row := append(got.Values[0], -1); row[len(row)-1] != -1 || got.Values[1][0] != next {
+				t.Fatalf("norm=%v workers=%d: appending to row 0 overwrote row 1", norm, workers)
+			}
 		}
 	}
 	// The norm option must actually reach the vector measure.
@@ -274,6 +280,31 @@ func TestEngineMeasures(t *testing.T) {
 	}
 	if a.Names[3] == b.Names[3] {
 		t.Errorf("vector measure name did not change with the norm: %q vs %q", a.Names[3], b.Names[3])
+	}
+}
+
+// TestEngineMeasuresAllocsFlat pins the measures evaluator's
+// allocation budget: the rows live in one slab and the per-offer
+// kernels allocate nothing, so a serial one-shard engine makes the same
+// number of allocations for 20k offers as for 1k, under every norm.
+func TestEngineMeasuresAllocsFlat(t *testing.T) {
+	offers, _ := engineTestFleet(t, 20000)
+	ctx := context.Background()
+	for _, norm := range []Norm{L1, L2, LInf} {
+		eng := New(WithWorkers(1), WithNorm(norm))
+		allocs := func(fleet []*FlexOffer) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := eng.Measures(ctx, fleet); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(offers[:1000]), allocs(offers)
+		eng.Close()
+		if large > small {
+			t.Errorf("norm=%v: Engine.Measures made %v allocations for 20k offers, %v for 1k: allocations grow with the fleet",
+				norm, large, small)
+		}
 	}
 }
 

@@ -118,6 +118,70 @@ func TestAssignmentsSetValueMatchesNaiveProduct(t *testing.T) {
 	}
 }
 
+// TestAssignmentsValueWideCounts pins Value on single offers whose
+// count exceeds a uint64 — evaluated on fixed-width words, without
+// allocating — to the big-integer count, and SetValue over such offers
+// to the naive product, Float64bits-exact: random
+// factor sizes from 1 to 63 bits, counts up to and past 2^1024,
+// products that are exact halves between two float64s, and the
+// rounding edge below MaxFloat64.
+func TestAssignmentsValueWideCounts(t *testing.T) {
+	offers := []*flexoffer.FlexOffer{
+		// (2^53+1)·2^64: an exact half between two float64s, which
+		// rounds down to even.
+		countOffer(0, 1<<53, 1<<32-1, 1<<32-1),
+		// (2^53+3)·2^64: an exact half that rounds up to even.
+		countOffer(0, 1<<53+2, 1<<32-1, 1<<32-1),
+		// (2^53+1)·(2^64−1): just below an exact half.
+		countOffer(0, 1<<53, 1<<32, 1<<32-2),
+		// 2^1023 and 2^1024: the last finite power and the first +Inf.
+		countOffer(0, append([]int64{1<<31 - 1}, repeat64(1<<62-1, 16)...)...),
+		countOffer(1, repeat64(1<<31-1, 32)...),
+		// (2^54−1)·2^970 is MaxFloat64 plus half an ulp, which rounds
+		// to +Inf; (2^62−257)·2^962 stays just below it.
+		countOffer(0, append([]int64{1<<54 - 2}, repeat64(1, 970)...)...),
+		countOffer(0, append([]int64{1<<62 - 258}, repeat64(1, 962)...)...),
+		// A zero factor after the words have overflowed: the count is 0.
+		countOffer(3, append(repeat64(1<<62-1, 40), -1)...),
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 400; i++ {
+		spans := make([]int64, 2+rng.Intn(24))
+		for j := range spans {
+			spans[j] = rng.Int63n(int64(1)<<(1+rng.Intn(62))) + 1
+		}
+		offers = append(offers, countOffer(rng.Intn(5000), spans...))
+	}
+	for i, f := range offers {
+		want, _ := new(big.Float).SetInt(core.AssignmentFlexibility(f)).Float64()
+		got, err := core.AssignmentsMeasure{}.Value(f)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("offer %d: Value = %v (%#x), %v, want %v (%#x)",
+				i, got, math.Float64bits(got), err, want, math.Float64bits(want))
+		}
+	}
+	// The set product over wide counts, multiplied in factor by factor.
+	for _, fs := range [][]*flexoffer.FlexOffer{offers[:3], offers[3:4], offers[5:7], offers[9:12], offers[9:], offers} {
+		want := naiveAssignmentsSetValue(fs)
+		if got, err := (core.AssignmentsMeasure{}).SetValue(fs); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("SetValue of %d wide counts = %v, %v, want %v", len(fs), got, err, want)
+		}
+	}
+	wide := offers[3]
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = core.AssignmentsMeasure{}.Value(wide) }); allocs != 0 {
+		t.Errorf("Value of a count above 2^64: %v allocs, want 0", allocs)
+	}
+}
+
+// repeat64 returns n copies of v.
+func repeat64(v int64, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 func BenchmarkAssignmentsSetValue50k(b *testing.B) {
 	fs, err := workload.Population(rand.New(rand.NewSource(99)), 50000, 3, workload.DefaultMix())
 	if err != nil {

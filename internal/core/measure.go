@@ -268,9 +268,17 @@ func (AssignmentsMeasure) Name() string { return "assignments" }
 // Value implements Measure. Counts beyond 2^53 lose precision in the
 // float64 conversion; AssignmentFlexibility returns the exact count.
 // Both conversions below round the exact count to nearest even.
+// Counts of positive factors are evaluated without allocating.
 func (AssignmentsMeasure) Value(f *flexoffer.FlexOffer) (float64, error) {
 	if n, ok := smallAssignmentCount(f); ok {
 		return float64(n), nil
+	}
+	var c wideCount
+	if ok, inf := c.set(f); ok {
+		if inf {
+			return math.Inf(1), nil
+		}
+		return c.float64(), nil
 	}
 	v, _ := new(big.Float).SetInt(AssignmentFlexibility(f)).Float64()
 	return v, nil
@@ -298,17 +306,33 @@ func (AssignmentsMeasure) SetValue(fs []*flexoffer.FlexOffer) (float64, error) {
 		small big.Int
 	)
 	for _, f := range fs {
-		var c *big.Int
 		if n, ok := smallAssignmentCount(f); ok {
-			c = small.SetUint64(n)
-		} else {
-			c = AssignmentFlexibility(f)
-			switch c.Sign() {
-			case 0:
-				return 0, nil
-			case -1:
-				neg = !neg
+			c := small.SetUint64(n)
+			if exp += c.BitLen() - 1; exp < overflowExp {
+				total.Mul(total, c)
 			}
+			continue
+		}
+		// A count of positive factors multiplies in factor by factor,
+		// without materializing it; a count ≥ 2^1024 alone overflows.
+		var wide wideCount
+		if ok, inf := wide.set(f); ok {
+			if inf {
+				exp += overflowExp
+			} else if exp += wide.bitLen() - 1; exp < overflowExp {
+				total.Mul(total, small.SetUint64(uint64(f.TimeFlexibility()+1)))
+				for _, s := range f.Slices {
+					total.Mul(total, small.SetUint64(uint64(s.Span()+1)))
+				}
+			}
+			continue
+		}
+		c := AssignmentFlexibility(f)
+		switch c.Sign() {
+		case 0:
+			return 0, nil
+		case -1:
+			neg = !neg
 		}
 		if exp += c.BitLen() - 1; exp < overflowExp {
 			total.Mul(total, c)
@@ -351,6 +375,82 @@ func smallAssignmentCount(f *flexoffer.FlexOffer) (n uint64, ok bool) {
 		n = lo
 	}
 	return n, true
+}
+
+// wideCount is a Definition 8 count of positive factors below 2^1024 —
+// the counts whose float64 value is finite — held as little-endian
+// 64-bit words, so it is formed without allocating.
+type wideCount struct {
+	w [overflowExp / 64]uint64
+	n int // words in use; w[n-1] is nonzero
+}
+
+// set makes c f's count. ok is false when a factor is not positive,
+// leaving the count to AssignmentFlexibility's big integer; inf
+// reports a count of at least 2^1024, which c does not hold.
+func (c *wideCount) set(f *flexoffer.FlexOffer) (ok, inf bool) {
+	t := int64(f.TimeFlexibility() + 1)
+	if t <= 0 {
+		return false, false
+	}
+	c.w[0], c.n = uint64(t), 1
+	for _, s := range f.Slices {
+		k := s.Span() + 1
+		if k <= 0 {
+			return false, false
+		}
+		if !inf {
+			inf = !c.mul(uint64(k))
+		}
+	}
+	return true, inf
+}
+
+// mul multiplies c by k, reporting false when the product reaches
+// 2^1024.
+func (c *wideCount) mul(k uint64) bool {
+	var carry uint64
+	for i := 0; i < c.n; i++ {
+		hi, lo := bits.Mul64(c.w[i], k)
+		var cc uint64
+		c.w[i], cc = bits.Add64(lo, carry, 0)
+		carry = hi + cc
+	}
+	if carry != 0 {
+		if c.n == len(c.w) {
+			return false
+		}
+		c.w[c.n] = carry
+		c.n++
+	}
+	return true
+}
+
+// bitLen is the count's length in bits.
+func (c *wideCount) bitLen() int {
+	return 64*(c.n-1) + bits.Len64(c.w[c.n-1])
+}
+
+// float64 is the float64 nearest to the count, ties to even — what
+// big.Float's SetInt(count).Float64() returns. The top 64 bits are
+// converted with every lower bit folded into the last as a sticky bit:
+// the conversion's one rounding then sees exact halves and anything
+// above them exactly as the full count would, and the scaling by a
+// power of two is exact (or overflows to +Inf like the rounding would).
+func (c *wideCount) float64() float64 {
+	if c.n == 1 {
+		return float64(c.w[0])
+	}
+	s := uint(bits.LeadingZeros64(c.w[c.n-1]))
+	m := c.w[c.n-1]<<s | c.w[c.n-2]>>(64-s)
+	sticky := c.w[c.n-2]<<s != 0
+	for _, w := range c.w[:c.n-2] {
+		sticky = sticky || w != 0
+	}
+	if sticky {
+		m |= 1
+	}
+	return math.Ldexp(float64(m), 64*(c.n-1)-int(s))
 }
 
 // Characteristics implements Measure (Table 1, column "Assignments").

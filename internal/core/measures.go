@@ -120,11 +120,36 @@ func SeriesFlexibility(f *flexoffer.FlexOffer, n timeseries.Norm) (float64, erro
 // characteristic the paper's Table 1 claims for the time-series measure
 // (it sees energy flexibility only) and coincides with SeriesFlexibility
 // whenever tf(f) = 0 or the profiles do not overlap.
+//
+// With both extremes at one start, Sub(max, min) is the span series
+// d_i = amax_i − amin_i over the offer's own domain, so the norm is
+// folded straight over the slices, without building either assignment:
+// Σ|d_i|, √Σd_i² or max|d_i|, accumulated in slice order from +0 — the
+// float operations of NormL1, NormL2 and NormLInf, so the value is
+// bit-identical to the series form and the call allocates nothing.
 func AlignedSeriesFlexibility(f *flexoffer.FlexOffer, n timeseries.Norm) (float64, error) {
-	mn := f.MinAssignment()
-	mx := f.MaxAssignment()
-	mx.Start = mn.Start
-	return timeseries.Sub(mx.Series(), mn.Series()).NormValue(n)
+	var acc float64
+	switch n {
+	case timeseries.L1:
+		for _, s := range f.Slices {
+			acc += math.Abs(float64(s.Max - s.Min))
+		}
+	case timeseries.L2:
+		for _, s := range f.Slices {
+			d := float64(s.Max - s.Min)
+			acc += d * d
+		}
+		acc = math.Sqrt(acc)
+	case timeseries.LInf:
+		for _, s := range f.Slices {
+			if a := math.Abs(float64(s.Max - s.Min)); a > acc {
+				acc = a
+			}
+		}
+	default:
+		return 0, fmt.Errorf("%w: %d", timeseries.ErrBadNorm, int(n))
+	}
+	return acc, nil
 }
 
 // AssignmentFlexibility is Definition 8: the number of possible

@@ -330,30 +330,61 @@ func EncodeResponse(w io.Writer, v any) error {
 // buffer sized for the table, without reflection or a MarshalJSON call
 // per cell.
 func appendMeasuresResponse(m *MeasuresResponse) []byte {
-	names, _ := json.Marshal(m.Names) // a []string always marshals
-	cells := len(m.Set)
-	for _, row := range m.Values {
-		cells += len(row) + 1 // a row's brackets count as one cell
+	size := 64 + measureRowsBytes(m.Values) + (len(m.Set)+1)*cellBytes
+	for _, name := range m.Names {
+		size += len(name) + 3 // quotes and comma
 	}
-	b := make([]byte, 0, len(names)+32+cells*cellBytes)
-	b = append(b, `{"names":`...)
-	b = append(b, names...)
-	b = append(b, `,"values":`...)
+	b := appendMeasuresHead(make([]byte, 0, size), m.Names)
 	if m.Values == nil {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
-		for i, row := range m.Values {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONFloats(b, row)
-		}
+		b = appendMeasureRows(b, m.Values, true)
 		b = append(b, ']')
 	}
+	return appendMeasuresTail(b, m.Set)
+}
+
+// appendMeasuresHead appends a measures document up to its "values"
+// array: {"names":[…],"values":
+func appendMeasuresHead(b []byte, names []string) []byte {
+	data, _ := json.Marshal(names) // a []string always marshals
+	b = append(b, `{"names":`...)
+	b = append(b, data...)
+	return append(b, `,"values":`...)
+}
+
+// appendMeasuresTail appends the rest of a measures document after its
+// "values" array: ,"set":[…]}
+func appendMeasuresTail[F ~float64](b []byte, set []F) []byte {
 	b = append(b, `,"set":`...)
-	b = appendJSONFloats(b, m.Set)
+	b = appendJSONFloats(b, set)
 	return append(b, '}')
+}
+
+// appendMeasureRows appends rows as consecutive elements of the
+// "values" array, one JSON array of cells per row; first says whether
+// rows[0] opens the array (otherwise it follows an earlier row and is
+// preceded by a comma). It is the one place the row and cell format is
+// written: EncodeResponse's *MeasuresResponse path and the streamed
+// GET /v1/measures body both go through it.
+func appendMeasureRows[F ~float64](b []byte, rows [][]F, first bool) []byte {
+	for i, row := range rows {
+		if i > 0 || !first {
+			b = append(b, ',')
+		}
+		b = appendJSONFloats(b, row)
+	}
+	return b
+}
+
+// measureRowsBytes is the buffer budget of appendMeasureRows(rows).
+func measureRowsBytes[F ~float64](rows [][]F) int {
+	cells := 0
+	for _, row := range rows {
+		cells += len(row) + 1 // a row's brackets and comma count as one cell
+	}
+	return cells * cellBytes
 }
 
 // cellBytes is the buffer budget per measures cell: most cells are
@@ -361,7 +392,7 @@ func appendMeasuresResponse(m *MeasuresResponse) []byte {
 const cellBytes = 12
 
 // appendJSONFloats appends xs as a JSON array, null for a nil slice.
-func appendJSONFloats(b []byte, xs []JSONFloat) []byte {
+func appendJSONFloats[F ~float64](b []byte, xs []F) []byte {
 	if xs == nil {
 		return append(b, "null"...)
 	}
@@ -379,10 +410,15 @@ func appendJSONFloats(b []byte, xs []JSONFloat) []byte {
 // when x is NaN or infinite, otherwise encoding/json's float64 form —
 // the shortest 'f' representation, or 'e' when |x| < 1e-6 or
 // |x| ≥ 1e21, with a two-digit negative exponent shortened (e-07 →
-// e-7).
+// e-7). An integral x below 2^53 in magnitude, other than −0, is
+// appended as the integer itself: every integer in that range is
+// exactly representable, so its shortest 'f' form is just its digits.
 func appendJSONFloat(b []byte, x float64) []byte {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return append(b, "null"...)
+	}
+	if x == math.Trunc(x) && math.Abs(x) < 1<<53 && (x != 0 || !math.Signbit(x)) {
+		return strconv.AppendInt(b, int64(x), 10)
 	}
 	format := byte('f')
 	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

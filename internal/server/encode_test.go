@@ -81,13 +81,15 @@ func TestMeasuresEncodingMatchesReflect(t *testing.T) {
 
 // FuzzAppendJSONFloat checks appendJSONFloat against encoding/json over
 // arbitrary float64 bit patterns: json.Marshal's bytes for finite
-// values, null otherwise.
+// values, null otherwise. Raw bit patterns almost never land on small
+// integers, so every input also checks an integral value derived from
+// it — the bits read as an int64, shifted right by bits%64 — which
+// covers the integer fast path at every magnitude up to 2^63.
 func FuzzAppendJSONFloat(f *testing.F) {
 	for _, x := range []float64{0, 1, -1, 1e-7, 1e21, 5e-324, math.MaxFloat64, math.NaN()} {
 		f.Add(math.Float64bits(x))
 	}
-	f.Fuzz(func(t *testing.T, bits uint64) {
-		x := math.Float64frombits(bits)
+	check := func(t *testing.T, x float64) {
 		want := []byte("null")
 		if !math.IsNaN(x) && !math.IsInf(x, 0) {
 			var err error
@@ -96,7 +98,11 @@ func FuzzAppendJSONFloat(f *testing.F) {
 			}
 		}
 		if got := appendJSONFloat(nil, x); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONFloat(%#x) = %s, want %s", bits, got, want)
+			t.Errorf("appendJSONFloat(%v, bits %#x) = %s, want %s", x, math.Float64bits(x), got, want)
 		}
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		check(t, math.Float64frombits(bits))
+		check(t, float64(int64(bits)>>(bits%64)))
 	})
 }

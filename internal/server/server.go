@@ -657,6 +657,15 @@ func (dw *deadlineWriter) Flush() {
 // Unwrap lets http.ResponseController reach the underlying writer.
 func (dw *deadlineWriter) Unwrap() http.ResponseWriter { return dw.ResponseWriter }
 
+// handleMeasures serves GET /v1/measures in one pass: the engine's
+// evaluator fills the table block by block on the shard pools, each
+// block encodes its rows on the worker that filled them, and this
+// goroutine writes the blocks in offer order as soon as each is next.
+// The status is committed with the first block, so an evaluation that
+// fails before any output still answers 422; after that a failure (a
+// cancelled request) just ends the body early. The set row, folded
+// once every block is done, closes the document. The bytes are
+// exactly EncodeResponse(BuildMeasuresResponse(table)).
 func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
 	var opts []flex.Option
 	switch r.URL.Query().Get("norm") {
@@ -674,12 +683,53 @@ func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no offers ingested", nil)
 		return
 	}
-	tab, err := s.se.MeasuresRouted(r.Context(), parts, opts...)
+	offers := shard.Flatten(parts)
+	// Buffered for every block, so a worker never waits on the network.
+	blocks := make(chan measuresBlock, (total+flex.MeasuresBlock-1)/flex.MeasuresBlock)
+	var tab *flex.MeasureTable
+	var err error
+	go func() {
+		defer close(blocks)
+		tab, err = s.se.MeasuresEach(r.Context(), offers, func(lo int, rows [][]float64) {
+			data := appendMeasureRows(make([]byte, 0, measureRowsBytes(rows)), rows, lo == 0)
+			blocks <- measuresBlock{index: lo / flex.MeasuresBlock, data: data}
+		}, opts...)
+	}()
+	var werr error
+	write := func(p []byte) {
+		if werr == nil {
+			_, werr = w.Write(p)
+		}
+	}
+	pending := make([][]byte, cap(blocks))
+	next := 0
+	for blk := range blocks {
+		pending[blk.index] = blk.data
+		for ; next < len(pending) && pending[next] != nil; next++ {
+			if next == 0 {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusOK)
+				write(append(appendMeasuresHead(nil, s.se.MeasureNames(opts...)), '['))
+			}
+			write(pending[next])
+			pending[next] = nil
+		}
+	}
+	// The closed channel orders the evaluator's tab and err before here.
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error(), nil)
+		if next == 0 {
+			writeError(w, http.StatusUnprocessableEntity, err.Error(), nil)
+		}
 		return
 	}
-	writeJSON(w, http.StatusOK, BuildMeasuresResponse(tab))
+	write(append(appendMeasuresTail([]byte{']'}, tab.Set), '\n'))
+}
+
+// measuresBlock is one evaluated block of GET /v1/measures rows,
+// encoded: the index-th block of flex.MeasuresBlock offers.
+type measuresBlock struct {
+	index int
+	data  []byte
 }
 
 // handleHealthz reports liveness. Draining is 503 (stop routing here);

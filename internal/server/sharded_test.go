@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	flex "flexmeasures"
@@ -219,7 +220,7 @@ func TestShardedServerHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				switch it % 3 {
+				switch it % 4 {
 				case 0:
 					var batch strings.Builder
 					for i := 0; i < 6; i++ {
@@ -250,6 +251,20 @@ func TestShardedServerHammer(t *testing.T) {
 						errs <- fmt.Errorf("goroutine %d iter %d: aggregate %s: %s", g, it, resp.Status, body)
 						return
 					}
+				case 3:
+					resp, body := get(t, srv.URL+"/v1/measures")
+					switch resp.StatusCode {
+					case http.StatusOK:
+						var mr MeasuresResponse
+						if err := json.Unmarshal(body, &mr); err != nil || len(mr.Set) != 8 {
+							errs <- fmt.Errorf("goroutine %d iter %d: torn measures response: %v", g, it, err)
+							return
+						}
+					case http.StatusBadRequest:
+					default:
+						errs <- fmt.Errorf("goroutine %d iter %d: measures %s: %s", g, it, resp.Status, body)
+						return
+					}
 				}
 			}
 		}(g)
@@ -258,5 +273,177 @@ func TestShardedServerHammer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// measuresFleet is zonedFleet(n) with offers whose measures are
+// undefined spliced in: zero totals (relative_area fails, so the cell
+// and the set value are null) and mixed profiles (absolute_area and
+// relative_area undefined), at the front, the back and every 97th
+// position.
+func measuresFleet(t *testing.T, n int) ([]*flexoffer.FlexOffer, []byte) {
+	t.Helper()
+	base, _ := zonedFleet(t, n, 5)
+	special := func(i int) *flexoffer.FlexOffer {
+		f := &flexoffer.FlexOffer{
+			ID: fmt.Sprintf("u-%04d", i), EarliestStart: i % 11, LatestStart: i%11 + 3,
+			Slices: []flexoffer.Slice{{Min: -2, Max: 2}, {Min: 0, Max: 1}},
+		}
+		if i%2 == 1 {
+			f.Slices = []flexoffer.Slice{{Min: -3, Max: 4}, {Min: -1, Max: 2}}
+			f.TotalMin, f.TotalMax = -2, 5
+		}
+		return f
+	}
+	var offers []*flexoffer.FlexOffer
+	for i, f := range base {
+		if i%97 == 0 {
+			offers = append(offers, special(i))
+		}
+		offers = append(offers, f)
+	}
+	offers = append(offers, special(1))
+	for _, f := range offers {
+		if err := f.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := flexoffer.EncodeNDJSON(&buf, offers); err != nil {
+		t.Fatal(err)
+	}
+	return offers, buf.Bytes()
+}
+
+// TestShardedServerMeasuresByteParity pins GET /v1/measures — evaluated
+// block by block on the shard pools and streamed in offer order — byte
+// for byte to the reference rendering EncodeResponse(
+// BuildMeasuresResponse(...)) of a serial one-shard engine's table,
+// for every norm and shard count, over fleets with undefined cells: a
+// single offer, a fleet inside one evaluator block, and one spanning
+// more blocks than the largest shard count that is not a multiple of
+// the block size.
+func TestShardedServerMeasuresByteParity(t *testing.T) {
+	ref := flex.New(flex.WithWorkers(1))
+	defer ref.Close()
+	norms := map[string]flex.Norm{"l1": flex.L1, "l2": flex.L2, "linf": flex.LInf}
+	single := []*flexoffer.FlexOffer{{ID: "only", EarliestStart: 1, LatestStart: 4,
+		Slices: []flexoffer.Slice{{Min: -3, Max: 4}}, TotalMin: -3, TotalMax: 4}}
+	var singleNDJSON bytes.Buffer
+	if err := flexoffer.EncodeNDJSON(&singleNDJSON, single); err != nil {
+		t.Fatal(err)
+	}
+	fleets := map[string]func() ([]*flexoffer.FlexOffer, []byte){
+		"one offer":       func() ([]*flexoffer.FlexOffer, []byte) { return single, singleNDJSON.Bytes() },
+		"within a block":  func() ([]*flexoffer.FlexOffer, []byte) { return measuresFleet(t, flex.MeasuresBlock/2) },
+		"ragged 9 blocks": func() ([]*flexoffer.FlexOffer, []byte) { return measuresFleet(t, 8*flex.MeasuresBlock+40) },
+	}
+	for name, build := range fleets {
+		offers, ndjson := build()
+		if name == "ragged 9 blocks" && (len(offers)%flex.MeasuresBlock == 0 || len(offers) <= 8*flex.MeasuresBlock) {
+			t.Fatalf("%s: %d offers do not span a ragged 9 blocks", name, len(offers))
+		}
+		want := make(map[string][]byte, len(norms))
+		for q, norm := range norms {
+			tab, err := ref.Measures(context.Background(), offers, flex.WithNorm(norm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := EncodeResponse(&buf, BuildMeasuresResponse(tab)); err != nil {
+				t.Fatal(err)
+			}
+			if name != "one offer" && !bytes.Contains(buf.Bytes(), []byte("null")) {
+				t.Fatalf("%s norm=%s: reference has no undefined cell", name, q)
+			}
+			want[q] = buf.Bytes()
+		}
+		for _, shards := range []int{1, 2, 4, 8} {
+			srv, _ := newShardedTestServer(t, shards, Options{}, flex.WithWorkers(2))
+			resp, body := post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s shards=%d: ingest: %s: %s", name, shards, resp.Status, body)
+			}
+			for q := range norms {
+				resp, body := get(t, srv.URL+"/v1/measures?norm="+q)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s shards=%d norm=%s: %s: %s", name, shards, q, resp.Status, body)
+				}
+				if !bytes.Equal(body, want[q]) {
+					t.Errorf("%s shards=%d norm=%s: /v1/measures bytes differ from the reference (%d vs %d bytes)",
+						name, shards, q, len(body), len(want[q]))
+				}
+			}
+			srv.Close()
+		}
+	}
+}
+
+// TestMeasuresCancelledBeforeOutput pins the status contract of the
+// streamed GET /v1/measures: a request whose evaluation fails before
+// any block is written still answers 422 with an error body.
+func TestMeasuresCancelledBeforeOutput(t *testing.T) {
+	_, ndjson := zonedFleet(t, 40, 3)
+	srv, s := newShardedTestServer(t, 2, Options{}, flex.WithWorkers(2))
+	post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/measures", nil).WithContext(ctx))
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("cancelled measures: status %d, want 422: %s", rec.Code, rec.Body)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
+		t.Fatalf("cancelled measures: body %q is not an error response (%v)", rec.Body, err)
+	}
+}
+
+// lateCancel is a request context that is found cancelled from its
+// second Err call on, and never closes Done: the measures evaluation
+// starts, streams every block, and only its final check sees the
+// cancellation — a request cancelled mid-body, without a race against
+// the evaluator's workers.
+type lateCancel struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *lateCancel) Done() <-chan struct{} { return nil }
+
+func (c *lateCancel) Err() error {
+	if c.calls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMeasuresCancelledMidBody pins the other half of the contract:
+// once the first block is out the status is committed, so a request
+// cancelled afterwards keeps its 200 and its body just ends — every
+// row written, no "set", no closing brace.
+func TestMeasuresCancelledMidBody(t *testing.T) {
+	offers, ndjson := zonedFleet(t, 3*flex.MeasuresBlock+5, 3)
+	srv, s := newShardedTestServer(t, 2, Options{}, flex.WithWorkers(2))
+	post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson))
+	ref := flex.New(flex.WithWorkers(1))
+	defer ref.Close()
+	tab, err := ref.Measures(context.Background(), offers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	if err := EncodeResponse(&full, BuildMeasuresResponse(tab)); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	ctx := &lateCancel{Context: context.Background()}
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/measures", nil).WithContext(ctx))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("cancelled mid-body: status %d, want 200: %s", rec.Code, rec.Body)
+	}
+	rows := full.Bytes()[:bytes.LastIndex(full.Bytes(), []byte(`],"set":`))]
+	if !bytes.Equal(rec.Body.Bytes(), rows) {
+		t.Errorf("cancelled mid-body: body is not the full body cut before its set row:\n got  %.200s\n want %.200s", rec.Body, rows)
 	}
 }
