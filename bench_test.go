@@ -144,6 +144,7 @@ func benchAggregate(b *testing.B, offers []*FlexOffer, workers int) {
 
 // BenchmarkAggregate1000 is the serial (one-worker) engine aggregation.
 func BenchmarkAggregate1000(b *testing.B) {
+	b.ReportAllocs()
 	benchAggregate(b, benchOffers(1000), 1)
 }
 

@@ -53,7 +53,7 @@
 // zone, prosumer ID hash, or round-robin) spreads the offers across
 // them. Every stage of the chain runs scatter-gather over the shards,
 // grouping included: each shard stable-sorts its part by (earliest
-// start, time flexibility) with a parallel merge sort, the runs are
+// start, time flexibility) with an O(n) radix sort, the runs are
 // k-way merged into the global grouping order, and the merged order is
 // cut into independent segments at every earliest-start gap wider than
 // the tolerance and packed concurrently — bit-identical to the serial
@@ -275,7 +275,7 @@ type (
 	Grouper = grouping.Grouper
 	// ShardedGrouper is the parallel threshold strategy over one
 	// offer slice: offers are stably sorted by (earliest start, time
-	// flexibility) with a parallel merge sort, cut into independent
+	// flexibility) with an O(n) radix sort, cut into independent
 	// segments at every earliest-start gap wider than the tolerance,
 	// and greedily packed per segment — bit-identical to GroupOffers
 	// for every worker count. Install it with WithGrouper (optionally

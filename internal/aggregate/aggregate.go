@@ -86,16 +86,33 @@ func Aggregate(group []*flexoffer.FlexOffer) (*Aggregated, error) {
 	return AggregateAligned(group, AlignEarliest)
 }
 
-// AggregateAligned combines the group under the chosen alignment.
+// AggregateAligned combines the group under the chosen alignment. The
+// Constituents are copies of the group (flexoffer.CloneAll).
 func AggregateAligned(group []*flexoffer.FlexOffer, al Alignment) (*Aggregated, error) {
+	if err := validateGroup(group); err != nil {
+		return nil, err
+	}
+	return aggregateOwned(flexoffer.CloneAll(group), al)
+}
+
+// validateGroup checks that the group is non-empty and that every
+// constituent is a valid flex-offer.
+func validateGroup(group []*flexoffer.FlexOffer) error {
 	if len(group) == 0 {
-		return nil, ErrEmptyGroup
+		return ErrEmptyGroup
 	}
 	for i, f := range group {
 		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("aggregate: constituent %d: %w", i, err)
+			return fmt.Errorf("aggregate: constituent %d: %w", i, err)
 		}
 	}
+	return nil
+}
+
+// aggregateOwned combines a validated, non-empty group under al. The
+// group becomes the aggregate's Constituents as is, so the caller
+// hands over copies it owns.
+func aggregateOwned(group []*flexoffer.FlexOffer, al Alignment) (*Aggregated, error) {
 	minTF := group[0].TimeFlexibility()
 	for _, f := range group[1:] {
 		if tf := f.TimeFlexibility(); tf < minTF {
@@ -134,16 +151,18 @@ func AggregateAligned(group []*flexoffer.FlexOffer, al Alignment) (*Aggregated, 
 		totalMin += f.TotalMin
 		totalMax += f.TotalMax
 	}
-	agg, err := flexoffer.NewWithTotals(base, base+minTF, slices, totalMin, totalMax)
-	if err != nil {
+	agg := &flexoffer.FlexOffer{
+		EarliestStart: base,
+		LatestStart:   base + minTF,
+		Slices:        slices,
+		TotalMin:      totalMin,
+		TotalMax:      totalMax,
+	}
+	if err := agg.Validate(); err != nil {
 		return nil, fmt.Errorf("aggregate: building aggregate: %w", err)
 	}
 	agg.ID = fmt.Sprintf("agg(%d)", len(group))
-	cs := make([]*flexoffer.FlexOffer, len(group))
-	for i, f := range group {
-		cs[i] = f.Clone()
-	}
-	return &Aggregated{Offer: agg, Constituents: cs, anchors: anchors}, nil
+	return &Aggregated{Offer: agg, Constituents: group, anchors: anchors}, nil
 }
 
 // Disaggregate maps a valid assignment of the aggregate flex-offer back
@@ -163,23 +182,29 @@ func (ag *Aggregated) Disaggregate(a flexoffer.Assignment) ([]flexoffer.Assignme
 		return nil, fmt.Errorf("%w: %v", ErrNotConstituent, err)
 	}
 	delta := a.Start - ag.Offer.EarliestStart
+	// Every constituent's Values is a capacity-capped view of one slab.
+	n := 0
+	for _, f := range ag.Constituents {
+		n += f.NumSlices()
+	}
+	slab := make([]int64, n)
 	out := make([]flexoffer.Assignment, len(ag.Constituents))
 	for i, f := range ag.Constituents {
-		out[i] = flexoffer.Assignment{
-			Start:  ag.anchor(i) + delta,
-			Values: make([]int64, f.NumSlices()),
-		}
+		k := f.NumSlices()
+		out[i] = flexoffer.Assignment{Start: ag.anchor(i) + delta, Values: slab[:k:k]}
+		slab = slab[k:]
 	}
 	// Per-slot distribution: minima first, then water-fill the surplus
 	// left to right.
+	type part struct {
+		offer int
+		slice int
+	}
+	parts := make([]part, 0, len(ag.Constituents))
 	for slot := 0; slot < len(a.Values); slot++ {
 		abs := a.Start + slot
 		remaining := a.Values[slot]
-		type part struct {
-			offer int
-			slice int
-		}
-		var parts []part
+		parts = parts[:0]
 		for i, f := range ag.Constituents {
 			j := abs - out[i].Start
 			if j >= 0 && j < f.NumSlices() {
@@ -387,18 +412,21 @@ type GroupParams = grouping.Params
 // and AggregateSafe when arbitrary valid assignments must disaggregate
 // (e.g. the aggregate is sold into a market, Scenario 2).
 //
-// The returned Aggregated's Constituents hold the *tightened* offers;
-// any assignment valid for a tightened constituent is valid for the
-// original it was derived from (tightened ranges are subsets).
+// The returned Aggregated's Constituents hold the *tightened* offers,
+// copied once (flexoffer.TightenTotalsAll); any assignment valid for a
+// tightened constituent is valid for the original it was derived from
+// (tightened ranges are subsets).
 func AggregateSafe(group []*flexoffer.FlexOffer) (*Aggregated, error) {
-	tightened := make([]*flexoffer.FlexOffer, len(group))
 	for i, f := range group {
 		if f == nil {
 			return nil, fmt.Errorf("aggregate: constituent %d: %w", i, flexoffer.ErrNilOffer)
 		}
-		tightened[i] = f.TightenTotals()
 	}
-	return Aggregate(tightened)
+	tightened := flexoffer.TightenTotalsAll(group)
+	if err := validateGroup(tightened); err != nil {
+		return nil, err
+	}
+	return aggregateOwned(tightened, AlignEarliest)
 }
 
 // AggregateAll groups the offers with p and aggregates every group,

@@ -86,25 +86,40 @@ func (f *FlexOffer) Refine(k int) (*FlexOffer, error) {
 // original flex-offer model (Šikšnys et al., SSDBM 2012) assumes.
 func (f *FlexOffer) TightenTotals() *FlexOffer {
 	out := f.Clone()
-	deficit := out.TotalMin - out.SumMin()
-	for i := 0; deficit > 0 && i < len(out.Slices); i++ {
-		room := out.Slices[i].Max - out.Slices[i].Min
+	out.tightenTotals()
+	return out
+}
+
+// TightenTotalsAll returns every offer's TightenTotals, copied in one
+// CloneAll and tightened in place.
+func TightenTotalsAll(offers []*FlexOffer) []*FlexOffer {
+	out := CloneAll(offers)
+	for _, f := range out {
+		f.tightenTotals()
+	}
+	return out
+}
+
+// tightenTotals is TightenTotals on the offer itself.
+func (f *FlexOffer) tightenTotals() {
+	deficit := f.TotalMin - f.SumMin()
+	for i := 0; deficit > 0 && i < len(f.Slices); i++ {
+		room := f.Slices[i].Max - f.Slices[i].Min
 		if room > deficit {
 			room = deficit
 		}
-		out.Slices[i].Min += room
+		f.Slices[i].Min += room
 		deficit -= room
 	}
-	excess := out.SumMax() - out.TotalMax
-	for i := 0; excess > 0 && i < len(out.Slices); i++ {
-		spare := out.Slices[i].Max - out.Slices[i].Min
+	excess := f.SumMax() - f.TotalMax
+	for i := 0; excess > 0 && i < len(f.Slices); i++ {
+		spare := f.Slices[i].Max - f.Slices[i].Min
 		if spare > excess {
 			spare = excess
 		}
-		out.Slices[i].Max -= spare
+		f.Slices[i].Max -= spare
 		excess -= spare
 	}
-	return out
 }
 
 // Coarsen is the inverse of Refine: it merges every k consecutive slices

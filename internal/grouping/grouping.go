@@ -16,7 +16,6 @@ package grouping
 
 import (
 	"context"
-	"sort"
 
 	"flexmeasures/internal/flexoffer"
 	"flexmeasures/internal/obs"
@@ -66,7 +65,7 @@ func groupTraced(ctx context.Context, offers []*flexoffer.FlexOffer, p Params) [
 	}
 	_, ssp := obs.Start(ctx, obs.StageGroupSort)
 	ests, tfs := keysOf(offers)
-	perm := sortedPerm(ests, tfs)
+	perm := radixPerm(ests, tfs)
 	sorted := make([]*flexoffer.FlexOffer, len(offers))
 	for i, pi := range perm {
 		sorted[i] = offers[pi]
@@ -106,26 +105,63 @@ func keysOf(offers []*flexoffer.FlexOffer) (ests, tfs []int) {
 	return ests, tfs
 }
 
-// sortedPerm returns the stable (est, tf)-sorted permutation of the
-// offer indices. The stable sort over identical keys yields exactly the
-// permutation a stable offer-slice sort would produce.
-func sortedPerm(ests, tfs []int) []int {
-	perm := make([]int, len(ests))
+// radixPerm returns the stable (est, tf)-sorted permutation of the
+// offer indices: an LSD radix sort, first by tf and then by est, each
+// pass stable. A stable sort has exactly one output for given keys, so
+// the permutation is the one any stable comparison sort of the offers
+// by (est, tf) yields. Each key is offset by its minimum in uint64
+// arithmetic, so negative keys and keys spanning MinInt..MaxInt stay
+// exact, and sorted 8 bits at a time with only the digit passes its
+// span needs; a pass whose digit is the same for every offer is
+// skipped. The cost is O(n) per pass.
+func radixPerm(ests, tfs []int) []int {
+	n := len(ests)
+	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(i, j int) bool {
-		return keyLess(ests, tfs, perm[i], perm[j])
-	})
+	if n < 2 {
+		return perm
+	}
+	tmp := make([]int, n)
+	perm, tmp = radixSortBy(perm, tmp, tfs)
+	perm, _ = radixSortBy(perm, tmp, ests)
 	return perm
 }
 
-// keyLess orders offer indices by (earliest start, time flexibility).
-func keyLess(ests, tfs []int, a, b int) bool {
-	if ests[a] != ests[b] {
-		return ests[a] < ests[b]
+// radixSortBy stably sorts the indices in perm by keys[index], using
+// tmp (of perm's length) as the scatter buffer. It returns the sorted
+// indices and the other buffer; either may be perm's backing array.
+func radixSortBy(perm, tmp, keys []int) (sorted, spare []int) {
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys {
+		lo = min(lo, k)
+		hi = max(hi, k)
 	}
-	return tfs[a] < tfs[b]
+	span := uint64(hi) - uint64(lo)
+	base := uint64(lo)
+	var count [256]int
+	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
+		count = [256]int{}
+		for _, p := range perm {
+			count[byte((uint64(keys[p])-base)>>shift)]++
+		}
+		if count[byte((uint64(keys[perm[0]])-base)>>shift)] == len(perm) {
+			continue
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, p := range perm {
+			d := byte((uint64(keys[p]) - base) >> shift)
+			tmp[count[d]] = p
+			count[d]++
+		}
+		perm, tmp = tmp, perm
+	}
+	return perm, tmp
 }
 
 // tfsOf rearranges the time-flexibility keys into sorted order, so pack

@@ -2,8 +2,6 @@ package grouping
 
 import (
 	"context"
-	"runtime"
-	"sort"
 
 	"flexmeasures/internal/flexoffer"
 	"flexmeasures/internal/obs"
@@ -14,16 +12,15 @@ import (
 // threshold grouper (grouping.go) is a sort followed by one greedy pack
 // over the sorted order — after PRs 1–4 parallelized every downstream
 // stage, that pass was the pipeline's last serial fraction. The sharded
-// grouper removes it in three parallel phases, each bit-identical to
-// its serial counterpart:
+// grouper runs it in three phases, the first and last parallel, each
+// bit-identical to its serial counterpart:
 //
 //  1. Key derivation fans out across the executor (independent per
 //     offer).
-//  2. The stable (est, tf) sort runs as a parallel merge sort: fixed
-//     contiguous chunks are stable-sorted concurrently and then merged
-//     pairwise, ties always taken from the left run. A stable merge
-//     sort produces exactly the stable sort order, so the resulting
-//     permutation is identical for every chunk and worker count.
+//  2. The stable (est, tf) sort is one O(n) LSD radix sort
+//     (radixPerm). A stable sort has exactly one output for given
+//     keys, so the permutation is the serial grouper's for every
+//     worker count.
 //  3. The sorted order is cut into shards at every earliest-start gap
 //     wider than ESTTolerance. A group's earliest-start spread is
 //     bounded by the tolerance, so no group can span such a gap — the
@@ -36,8 +33,8 @@ import (
 // When no gap exists (every offer is EST-connected to the next, e.g. a
 // huge tolerance or densely overlapping spans) the pack phase is
 // inherently sequential; the grouper then documents its fallback by
-// running the serial pack over the parallel sort's output. Small
-// inputs (below MinOffers) skip the machinery entirely.
+// running the serial pack over the sort's output. Small inputs (below
+// MinOffers) skip the machinery entirely.
 
 // Sharded is the parallel implementation of the threshold strategy:
 // output is bit-identical to Group(offers, Params) for every worker
@@ -82,14 +79,6 @@ func (s *Sharded) forEach(n, batch int, fn func(int)) {
 		return
 	}
 	pool.Run(n, s.Workers, batch, fn)
-}
-
-// chunks resolves the initial run count of the parallel sort.
-func (s *Sharded) chunks() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Group implements Grouper. The result is bit-identical to
@@ -181,11 +170,12 @@ func PackSorted(ctx context.Context, sorted []*flexoffer.FlexOffer, sortedEST, s
 
 // SortRun derives the grouping sort keys for the offers and returns
 // the stable (est, tf)-sorted permutation together with the keys (in
-// input order) — the parallel merge sort the Sharded grouper uses,
-// exposed for the scatter-gather sharded engine, which sorts each
-// shard's store concurrently on that shard's pool and k-way merges the
-// runs into the global grouping order. ex and workers follow the
-// Sharded fields of the same names.
+// input order) — the sort the Sharded grouper uses, exposed for the
+// scatter-gather sharded engine, which sorts each shard's store
+// concurrently on that shard's goroutine and k-way merges the runs
+// into the global grouping order. The key derivation fans out under ex
+// and workers (the Sharded fields of the same names); the sort itself
+// is one serial O(n) radix sort (radixPerm).
 func SortRun(offers []*flexoffer.FlexOffer, ex pool.Executor, workers int) (perm, ests, tfs []int) {
 	s := &Sharded{Pool: ex, Workers: workers}
 	n := len(offers)
@@ -195,74 +185,5 @@ func SortRun(offers []*flexoffer.FlexOffer, ex pool.Executor, workers int) (perm
 		ests[i] = offers[i].EarliestStart
 		tfs[i] = offers[i].TimeFlexibility()
 	})
-	return s.sortPerm(ests, tfs), ests, tfs
-}
-
-// sortPerm returns the stable (est, tf)-sorted permutation via a
-// parallel merge sort: fixed contiguous chunks are stable-sorted
-// concurrently, then merged pairwise with ties taken from the left run.
-// A stable merge of stable runs is the stable sort, so the permutation
-// is identical to sortedPerm's regardless of chunk or worker count.
-func (s *Sharded) sortPerm(ests, tfs []int) []int {
-	n := len(ests)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	chunks := s.chunks()
-	if chunks > n {
-		chunks = n
-	}
-	if chunks <= 1 {
-		sort.SliceStable(perm, func(i, j int) bool {
-			return keyLess(ests, tfs, perm[i], perm[j])
-		})
-		return perm
-	}
-	bounds := make([]int, chunks+1)
-	for c := 0; c <= chunks; c++ {
-		bounds[c] = c * n / chunks
-	}
-	s.forEach(chunks, 1, func(c int) {
-		seg := perm[bounds[c]:bounds[c+1]]
-		sort.SliceStable(seg, func(i, j int) bool {
-			return keyLess(ests, tfs, seg[i], seg[j])
-		})
-	})
-	src, dst := perm, make([]int, n)
-	for width := 1; width < chunks; width *= 2 {
-		step := 2 * width
-		ops := (chunks + step - 1) / step
-		s.forEach(ops, 1, func(op int) {
-			c := op * step
-			lo := bounds[c]
-			mid := bounds[min(c+width, chunks)]
-			hi := bounds[min(c+step, chunks)]
-			if mid == hi {
-				copy(dst[lo:hi], src[lo:hi])
-				return
-			}
-			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi], ests, tfs)
-		})
-		src, dst = dst, src
-	}
-	return src
-}
-
-// mergeRuns merges two sorted runs into dst, preferring the left run on
-// equal keys (stability).
-func mergeRuns(dst, a, b []int, ests, tfs []int) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if keyLess(ests, tfs, b[j], a[i]) {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
+	return radixPerm(ests, tfs), ests, tfs
 }

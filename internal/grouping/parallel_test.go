@@ -105,11 +105,11 @@ func TestShardedGrouperSerialFallback(t *testing.T) {
 	}
 }
 
-// sortedRun returns the offers in the serial stable (est, tf) order
+// sortedRun returns the offers in the reference stable (est, tf) order
 // together with their keys in that order.
 func sortedRun(offers []*flexoffer.FlexOffer) (sorted []*flexoffer.FlexOffer, sortedEST, sortedTF []int) {
 	ests, tfs := keysOf(offers)
-	perm := sortedPerm(ests, tfs)
+	perm := stableSortPerm(ests, tfs)
 	sorted = make([]*flexoffer.FlexOffer, len(perm))
 	sortedEST = make([]int, len(perm))
 	for i, pi := range perm {
@@ -182,6 +182,7 @@ func BenchmarkGroupSerial10k(b *testing.B) {
 func BenchmarkGroupSharded10k(b *testing.B) {
 	offers := benchOffers(b, 10000)
 	s := &Sharded{Params: Params{ESTTolerance: 2, TFTolerance: -1, MaxGroupSize: 32}, MinOffers: -1}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Group(context.Background(), offers); err != nil {

@@ -184,9 +184,11 @@ type scheduleHead struct {
 
 // StreamScheduleResponse writes resp incrementally: the head is one
 // small marshal, then the disaggregated assignments — the bulk of a
-// big fleet's response — are encoded and flushed group by group
-// instead of being materialized as a single document. The bytes are
-// exactly EncodeResponse(w, resp); only the peak memory differs.
+// big fleet's response — are appended without reflection into one
+// buffer that is written and flushed whenever it passes 32 KiB, and
+// once at the end, instead of being materialized as a single document.
+// The bytes are exactly EncodeResponse(w, resp); only the peak memory
+// differs.
 func StreamScheduleResponse(w io.Writer, resp *ScheduleResponse) error {
 	head, err := json.Marshal(&scheduleHead{
 		Offers:               resp.Offers,
@@ -202,40 +204,72 @@ func StreamScheduleResponse(w io.Writer, resp *ScheduleResponse) error {
 	if err != nil {
 		return err
 	}
-	// Drop the head's closing brace and splice in the tail field.
-	if _, err := w.Write(head[:len(head)-1]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, `,"disaggregated":`); err != nil {
-		return err
-	}
-	if resp.Disaggregated == nil {
-		_, err := io.WriteString(w, "null}\n")
-		return err
-	}
-	if _, err := io.WriteString(w, "["); err != nil {
-		return err
-	}
 	f, _ := w.(interface{ Flush() })
-	for i, group := range resp.Disaggregated {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		data, err := json.Marshal(group)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(data); err != nil {
+	emit := func(b []byte) error {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 		if f != nil {
 			f.Flush()
 		}
+		return nil
 	}
-	_, err = io.WriteString(w, "]}\n")
-	return err
+	// Drop the head's closing brace and splice in the tail field.
+	b := make([]byte, 0, len(head)+2*scheduleChunk)
+	b = append(b, head[:len(head)-1]...)
+	b = append(b, `,"disaggregated":`...)
+	if resp.Disaggregated == nil {
+		return emit(append(b, "null}\n"...))
+	}
+	b = append(b, '[')
+	for i, group := range resp.Disaggregated {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendAssignments(b, group)
+		if len(b) >= scheduleChunk {
+			if err := emit(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	return emit(append(b, "]}\n"...))
+}
+
+// scheduleChunk is the size at which StreamScheduleResponse writes and
+// flushes its buffer.
+const scheduleChunk = 32 << 10
+
+// appendAssignments appends as as json.Marshal encodes it: a JSON
+// array of {"start":…,"values":[…]} objects, null for a nil slice or
+// nil Values.
+func appendAssignments(b []byte, as []flexoffer.Assignment) []byte {
+	if as == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, a := range as {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"start":`...)
+		b = strconv.AppendInt(b, int64(a.Start), 10)
+		b = append(b, `,"values":`...)
+		if a.Values == nil {
+			b = append(b, "null}"...)
+			continue
+		}
+		b = append(b, '[')
+		for j, v := range a.Values {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, v, 10)
+		}
+		b = append(b, "]}"...)
+	}
+	return append(b, ']')
 }
 
 // JSONFloat is a float64 that marshals NaN and infinities as null —

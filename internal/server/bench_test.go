@@ -26,22 +26,7 @@ func BenchmarkMeasuresEndpoint50k(b *testing.B) {
 	for i, f := range offers {
 		f.ID = fmt.Sprintf("p-%05d", i)
 	}
-	var ndjson bytes.Buffer
-	if err := flexoffer.EncodeNDJSON(&ndjson, offers); err != nil {
-		b.Fatal(err)
-	}
-	se := flex.NewSharded(2)
-	defer se.Close()
-	srv := httptest.NewServer(NewSharded(se, Options{}))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/offers", "application/x-ndjson", &ndjson)
-	if err != nil {
-		b.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b.Fatalf("ingest: %s", resp.Status)
-	}
+	srv := benchServer(b, offers, flex.NewSharded(2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,5 +40,89 @@ func BenchmarkMeasuresEndpoint50k(b *testing.B) {
 			b.Fatalf("measures: %s, %d bytes, %v", resp.Status, n, err)
 		}
 		b.SetBytes(n)
+	}
+}
+
+// benchServer serves a fresh engine se behind httptest with the offers
+// ingested; the engine and server close when the benchmark ends.
+func benchServer(b *testing.B, offers []*flexoffer.FlexOffer, se *flex.Engine) *httptest.Server {
+	b.Helper()
+	b.Cleanup(se.Close)
+	srv := httptest.NewServer(NewSharded(se, Options{}))
+	b.Cleanup(srv.Close)
+	postNDJSON(b, srv.URL, offers)
+	return srv
+}
+
+// postNDJSON ingests the offers with one POST /v1/offers.
+func postNDJSON(b *testing.B, url string, offers []*flexoffer.FlexOffer) {
+	b.Helper()
+	var ndjson bytes.Buffer
+	if err := flexoffer.EncodeNDJSON(&ndjson, offers); err != nil {
+		b.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/offers", "application/x-ndjson", &ndjson)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b.Fatalf("ingest: %s", resp.Status)
+	}
+}
+
+// BenchmarkScheduleEndpoint50k is one POST /v1/schedule over 50k
+// stored offers with dense earliest starts on a two-shard server with
+// safe aggregation and incremental scheduling on, as flexd runs by
+// default, body drained. Before every request, outside the timer, 25
+// offers are re-submitted under existing IDs: on a dense fleet that
+// shifts the packing behind them, so most groups are re-aggregated and
+// every request is a full run — grouping, aggregation, scheduling,
+// disaggregation and the streamed encode, with its bytes and
+// allocations.
+func BenchmarkScheduleEndpoint50k(b *testing.B) {
+	rng := rand.New(rand.NewSource(99))
+	offers, err := workload.Population(rng, 50000, 2, workload.DefaultMix())
+	if err != nil {
+		b.Fatal(err)
+	}
+	horizon := 0
+	var expected int64
+	for i, f := range offers {
+		f.ID = fmt.Sprintf("p-%05d", i)
+		horizon = max(horizon, f.LatestStart+f.NumSlices())
+		expected += (f.TotalMin + f.TotalMax) / 2
+	}
+	horizon += workload.SlotsPerDay
+	srv := benchServer(b, offers, flex.NewSharded(2, flex.WithSafe(true), flex.WithIncremental(true)))
+	query := fmt.Sprintf("%s/v1/schedule?horizon=%d&target=%d&est=2&max-group=64",
+		srv.URL, horizon, expected/int64(horizon))
+	schedule := func() int64 {
+		resp, err := http.Post(query, "", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("schedule: %s, %d bytes, %v", resp.Status, n, err)
+		}
+		return n
+	}
+	schedule() // warm the incremental cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		churn, err := workload.Population(rng, 25, 2, workload.DefaultMix())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range churn {
+			f.ID = fmt.Sprintf("p-%05d", rng.Intn(len(offers)))
+		}
+		postNDJSON(b, srv.URL, churn)
+		b.StartTimer()
+		b.SetBytes(schedule())
 	}
 }

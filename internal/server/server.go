@@ -319,8 +319,8 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 // statusWriter records the response status code for the latency
 // histogram labels. It forwards Flush (the streamed /v1/schedule body
-// flushes per group) and exposes Unwrap so http.ResponseController can
-// reach the connection underneath.
+// flushes in 32 KiB chunks) and exposes Unwrap so
+// http.ResponseController can reach the connection underneath.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -566,9 +566,9 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 // handleSchedule runs the full Scenario-1 chain — aggregate → schedule
 // → disaggregate — over the stored offers, scatter-gathered across the
 // engine shards, and streams the schedule plus the per-prosumer
-// assignments: the response body is encoded group by group (see
-// StreamScheduleResponse) instead of being materialized as one
-// document. The bytes are identical to `flexctl schedule -pipeline
+// assignments: the response body is encoded and flushed in 32 KiB
+// chunks (see StreamScheduleResponse) instead of being materialized as
+// one document. The bytes are identical to `flexctl schedule -pipeline
 // -json` on the same offers and parameters, for every shard count.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	horizon, err := qInt(r, "horizon", 48)
@@ -644,7 +644,7 @@ func (dw *deadlineWriter) Write(p []byte) (int, error) {
 	return dw.ResponseWriter.Write(p)
 }
 
-// Flush forwards the streamed /v1/schedule body's per-group flushes to
+// Flush forwards the streamed /v1/schedule body's 32 KiB chunk flushes to
 // the writer underneath (without it the flush type assertion would
 // stop at this wrapper and the body would only move at buffer
 // boundaries).

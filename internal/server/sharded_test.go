@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -120,13 +121,39 @@ func TestStreamScheduleResponse(t *testing.T) {
 	}
 	resp := BuildScheduleResponse(len(offers), res, target, horizon, level)
 
+	// A body of more than three chunks: 120 groups of 12 assignments
+	// with 24 wide, signed values each.
+	rng := rand.New(rand.NewSource(23))
+	large := make([][]flexoffer.Assignment, 120)
+	for i := range large {
+		large[i] = make([]flexoffer.Assignment, 12)
+		for j := range large[i] {
+			vals := make([]int64, 24)
+			for k := range vals {
+				vals[k] = rng.Int63n(2_000_000_000) - 1_000_000_000
+			}
+			large[i][j] = flexoffer.Assignment{Start: rng.Intn(1000) - 500, Values: vals}
+		}
+	}
+	one := []flexoffer.Assignment{{Start: 1, Values: []int64{2}}}
+	bare := func(d [][]flexoffer.Assignment) *ScheduleResponse {
+		return &ScheduleResponse{Offers: 1, Load: SeriesJSON{Values: []int64{}}, Disaggregated: d}
+	}
 	cases := map[string]*ScheduleResponse{
-		"full":  resp,
-		"nil":   {Offers: 1, Load: SeriesJSON{Values: []int64{}}},
-		"empty": {Offers: 1, Load: SeriesJSON{Values: []int64{}}, Disaggregated: [][]flexoffer.Assignment{}},
+		"full":                 resp,
+		"nil":                  bare(nil),
+		"empty":                bare([][]flexoffer.Assignment{}),
+		"nil and empty groups": bare([][]flexoffer.Assignment{nil, one, {}, nil}),
+		"nil and empty values": bare([][]flexoffer.Assignment{{{Start: 3}, {Start: 4, Values: []int64{}}}, one}),
+		"extreme values": bare([][]flexoffer.Assignment{{
+			{Start: math.MinInt, Values: []int64{math.MinInt64, math.MaxInt64, -1, 0, -987654321}},
+			{Start: math.MaxInt, Values: []int64{-5}},
+		}}),
+		"more than three chunks": bare(large),
 	}
 	for name, r := range cases {
-		var oneShot, streamed bytes.Buffer
+		var oneShot bytes.Buffer
+		var streamed flushCounter
 		if err := EncodeResponse(&oneShot, r); err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +164,23 @@ func TestStreamScheduleResponse(t *testing.T) {
 			t.Errorf("%s: streamed bytes differ from one-shot encoding:\n got  %s\n want %s",
 				name, streamed.Bytes(), oneShot.Bytes())
 		}
+		n := streamed.Len()
+		if limit := (n+scheduleChunk-1)/scheduleChunk + 1; streamed.flushes > limit {
+			t.Errorf("%s: %d flushes for %d bytes, want at most %d", name, streamed.flushes, n, limit)
+		}
+		if name == "more than three chunks" && n <= 3*scheduleChunk {
+			t.Errorf("%s: body is only %d bytes", name, n)
+		}
 	}
 }
+
+// flushCounter is a bytes.Buffer that counts Flush calls.
+type flushCounter struct {
+	bytes.Buffer
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++ }
 
 // TestHealthzDraining pins the shutdown contract: MarkDraining flips
 // /healthz to 503 while the data endpoints keep serving in-flight
