@@ -171,6 +171,38 @@ func TestIncrementalNoChurnReusesEverything(t *testing.T) {
 	}
 }
 
+// TestIncrementalStatsPartitionPlacements pins that the placement
+// counters partition the placed groups: over a churn sequence with
+// replays (the dirty-fraction fallback disabled, so clean groups with
+// perturbed windows are re-placed), every group of every run is counted
+// exactly once as Reused, Replaced or Placed.
+func TestIncrementalStatsPartitionPlacements(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	se := NewSharded(2, WithWorkers(2), WithSafe(true), WithIncremental(true), WithIncrementalThreshold(1),
+		WithGrouping(GroupParams{ESTTolerance: 2, TFTolerance: -1, MaxGroupSize: 8}))
+	defer se.Close()
+	stores := shard.NewStores(shard.Router{Shards: 2})
+	stores.Add(shardedFleet(t, 5, 300, 4))
+	target := timeseries.Constant(0, 96, 30)
+	next, groups := 0, 0
+	for round := 0; round < 6; round++ {
+		if round > 0 {
+			churnStore(t, rng, stores, &next, 2, 1, 1)
+		}
+		if _, err := se.PipelineRouted(context.Background(), stores.Snapshot(), target); err != nil {
+			t.Fatal(err)
+		}
+		groups += se.IncrementalStats().LastGroups
+	}
+	st := se.IncrementalStats()
+	if st.Reused == 0 || st.Replaced == 0 {
+		t.Fatalf("sequence exercised no replay or no re-placement: %+v", st)
+	}
+	if got := st.Reused + st.Replaced + st.Placed; got != int64(groups) {
+		t.Fatalf("Reused+Replaced+Placed = %d+%d+%d = %d, want %d groups placed", st.Reused, st.Replaced, st.Placed, got, groups)
+	}
+}
+
 // clusteredFleet builds a fleet whose earliest starts sit in well-
 // separated clusters, so EST-gap cuts partition the grouping into
 // segments — the structure that bounds the blast radius of one offer

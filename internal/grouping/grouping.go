@@ -65,16 +65,11 @@ func groupTraced(ctx context.Context, offers []*flexoffer.FlexOffer, p Params) [
 	}
 	_, ssp := obs.Start(ctx, obs.StageGroupSort)
 	ests, tfs := keysOf(offers)
-	perm := radixPerm(ests, tfs)
-	sorted := make([]*flexoffer.FlexOffer, len(offers))
-	for i, pi := range perm {
-		sorted[i] = offers[pi]
-	}
-	sortedTF := tfsOf(tfs, perm)
+	sorted, sortedEST, sortedTF := sortedBy(radixPerm(ests, tfs), offers, ests, tfs)
 	ssp.End()
 	_, psp := obs.Start(ctx, obs.StageGroupPack)
 	defer psp.End()
-	return pack(sorted, sortedTF, p)
+	return pack(sorted, sortedEST, sortedTF, p)
 }
 
 // Threshold is the Grouper adapter of the serial threshold strategy.
@@ -164,14 +159,18 @@ func radixSortBy(perm, tmp, keys []int) (sorted, spare []int) {
 	return perm, tmp
 }
 
-// tfsOf rearranges the time-flexibility keys into sorted order, so pack
-// never recomputes them.
-func tfsOf(tfs []int, perm []int) []int {
-	out := make([]int, len(perm))
+// sortedBy returns the offers and their keys rearranged into perm's
+// order, so pack never follows an offer pointer to recompute a key.
+func sortedBy(perm []int, offers []*flexoffer.FlexOffer, ests, tfs []int) (sorted []*flexoffer.FlexOffer, sortedEST, sortedTF []int) {
+	sorted = make([]*flexoffer.FlexOffer, len(perm))
+	sortedEST = make([]int, len(perm))
+	sortedTF = make([]int, len(perm))
 	for i, pi := range perm {
-		out[i] = tfs[pi]
+		sorted[i] = offers[pi]
+		sortedEST[i] = ests[pi]
+		sortedTF[i] = tfs[pi]
 	}
-	return out
+	return sorted, sortedEST, sortedTF
 }
 
 // Pack greedily packs an already stably (est, tf)-sorted run into
@@ -180,9 +179,16 @@ func tfsOf(tfs []int, perm []int) []int {
 // runs into the global order itself and then needs exactly this loop
 // (segmented at the EST-gap cuts, see Cuts) to reproduce the serial
 // grouping bit for bit. sortedTF holds each offer's time flexibility
-// in run order (nil recomputes them).
+// in run order (nil recomputes them); the earliest starts are read from
+// the offers. Pack copies the run once, so its groups never alias the
+// caller's slice.
 func Pack(sorted []*flexoffer.FlexOffer, sortedTF []int, p Params) [][]*flexoffer.FlexOffer {
-	return pack(sorted, sortedTF, p)
+	run := append([]*flexoffer.FlexOffer(nil), sorted...)
+	ests, tfs := keysOf(run)
+	if sortedTF != nil {
+		tfs = sortedTF
+	}
+	return pack(run, ests, tfs, p)
 }
 
 // Cuts returns the exclusive end index of every independently packable
@@ -210,55 +216,34 @@ func Cuts(sortedESTs []int, estTolerance int) []int {
 // pack greedily packs a run of (est, tf)-sorted offers into groups
 // within the tolerances: a group accepts the next offer while the
 // earliest-start spread stays within ESTTolerance, the time-flexibility
-// spread within TFTolerance, and the size within MaxGroupSize. sortedTF
-// holds each offer's time flexibility in run order (nil recomputes
-// them). Both the serial grouper and each of the Sharded grouper's
-// shards run exactly this loop, which is what makes the two
-// bit-identical.
-func pack(sorted []*flexoffer.FlexOffer, sortedTF []int, p Params) [][]*flexoffer.FlexOffer {
-	tfAt := func(i int) int {
-		if sortedTF != nil {
-			return sortedTF[i]
-		}
-		return sorted[i].TimeFlexibility()
-	}
+// spread within TFTolerance, and the size within MaxGroupSize.
+// sortedEST and sortedTF hold each offer's keys in run order, so the
+// loop never follows an offer pointer. Every group is a
+// capacity-capped view of sorted — appending to one reallocates it
+// instead of writing into the next — so the pack allocates only the
+// group list. Both the serial grouper and each of the Sharded
+// grouper's segments run exactly this loop, which is what makes the
+// two bit-identical.
+func pack(sorted []*flexoffer.FlexOffer, sortedEST, sortedTF []int, p Params) [][]*flexoffer.FlexOffer {
 	var groups [][]*flexoffer.FlexOffer
-	var cur []*flexoffer.FlexOffer
-	var baseEST, minTF, maxTF int
-	flush := func() {
-		if len(cur) > 0 {
-			groups = append(groups, cur)
-			cur = nil
+	lo, minTF, maxTF := 0, 0, 0
+	for i := range sorted {
+		tf := sortedTF[i]
+		if i > lo {
+			l, h := min(minTF, tf), max(maxTF, tf)
+			if sortedEST[i]-sortedEST[lo] <= p.ESTTolerance &&
+				(p.TFTolerance < 0 || h-l <= p.TFTolerance) &&
+				(p.MaxGroupSize <= 0 || i-lo < p.MaxGroupSize) {
+				minTF, maxTF = l, h
+				continue
+			}
+			groups = append(groups, sorted[lo:i:i])
+			lo = i
 		}
+		minTF, maxTF = tf, tf
 	}
-	for i, f := range sorted {
-		if len(cur) == 0 {
-			cur = []*flexoffer.FlexOffer{f}
-			baseEST = f.EarliestStart
-			minTF, maxTF = tfAt(i), tfAt(i)
-			continue
-		}
-		tf := tfAt(i)
-		lo, hi := minTF, maxTF
-		if tf < lo {
-			lo = tf
-		}
-		if tf > hi {
-			hi = tf
-		}
-		fits := f.EarliestStart-baseEST <= p.ESTTolerance &&
-			(p.TFTolerance < 0 || hi-lo <= p.TFTolerance) &&
-			(p.MaxGroupSize <= 0 || len(cur) < p.MaxGroupSize)
-		if !fits {
-			flush()
-			cur = []*flexoffer.FlexOffer{f}
-			baseEST = f.EarliestStart
-			minTF, maxTF = tf, tf
-			continue
-		}
-		cur = append(cur, f)
-		minTF, maxTF = lo, hi
+	if n := len(sorted); n > lo {
+		groups = append(groups, sorted[lo:n:n])
 	}
-	flush()
 	return groups
 }

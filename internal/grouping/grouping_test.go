@@ -127,7 +127,7 @@ func TestOptimizeRequiresMeasureAndCombiner(t *testing.T) {
 // TestGroupSegmentStability pins the invariant incremental scheduling's
 // blast-radius bound rests on (internal/inc): when an offer is inserted
 // into one EST segment, groups in every other segment keep their exact
-// member pointers — so their content-addressed cache keys, and with
+// member pointers — so their content-addressed cache entries, and with
 // them the cached aggregates and placements, survive the change.
 func TestGroupSegmentStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -107,16 +107,7 @@ func (s *Sharded) sortKeys(ctx context.Context, offers []*flexoffer.FlexOffer) (
 	_, sp := obs.Start(ctx, obs.StageGroupSort)
 	defer sp.End()
 	perm, ests, tfs := SortRun(offers, s.Pool, s.Workers)
-	n := len(offers)
-	sorted = make([]*flexoffer.FlexOffer, n)
-	sortedEST = make([]int, n)
-	sortedTF = make([]int, n)
-	for i, pi := range perm {
-		sorted[i] = offers[pi]
-		sortedEST[i] = ests[pi]
-		sortedTF[i] = tfs[pi]
-	}
-	return sorted, sortedEST, sortedTF
+	return sortedBy(perm, offers, ests, tfs)
 }
 
 // PackSorted greedily packs an already stably (est, tf)-sorted run —
@@ -129,14 +120,16 @@ func (s *Sharded) sortKeys(ctx context.Context, offers []*flexoffer.FlexOffer) (
 // a single segment — every adjacent gap is within the tolerance — the
 // pack is inherently sequential and runs serially. The whole pack is
 // one group_pack span; a cancelled ctx stops it and returns ctx's
-// error. Both the Sharded grouper and the engine's scatter-gather
-// grouping (over the merged per-shard runs) end here.
+// error. The groups are capacity-capped views of sorted, so the caller
+// hands the run over: it must not modify sorted afterwards. Both the
+// Sharded grouper and the engine's scatter-gather grouping (over the
+// merged per-shard runs) end here, and both own the run they pass.
 func PackSorted(ctx context.Context, sorted []*flexoffer.FlexOffer, sortedEST, sortedTF []int, p Params, ex pool.Executor, workers int) ([][]*flexoffer.FlexOffer, error) {
 	_, sp := obs.Start(ctx, obs.StageGroupPack)
 	defer sp.End()
 	ends := Cuts(sortedEST, p.ESTTolerance)
 	if len(ends) == 1 {
-		return pack(sorted, sortedTF, p), nil
+		return pack(sorted, sortedEST, sortedTF, p), nil
 	}
 	per := make([][][]*flexoffer.FlexOffer, len(ends))
 	done := ctx.Done()
@@ -152,7 +145,7 @@ func PackSorted(ctx context.Context, sorted []*flexoffer.FlexOffer, sortedEST, s
 			lo = ends[k-1]
 		}
 		hi := ends[k]
-		per[k] = pack(sorted[lo:hi], sortedTF[lo:hi], p)
+		per[k] = pack(sorted[lo:hi], sortedEST[lo:hi], sortedTF[lo:hi], p)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -109,14 +109,7 @@ func TestShardedGrouperSerialFallback(t *testing.T) {
 // together with their keys in that order.
 func sortedRun(offers []*flexoffer.FlexOffer) (sorted []*flexoffer.FlexOffer, sortedEST, sortedTF []int) {
 	ests, tfs := keysOf(offers)
-	perm := stableSortPerm(ests, tfs)
-	sorted = make([]*flexoffer.FlexOffer, len(perm))
-	sortedEST = make([]int, len(perm))
-	for i, pi := range perm {
-		sorted[i] = offers[pi]
-		sortedEST[i] = ests[pi]
-	}
-	return sorted, sortedEST, tfsOf(tfs, perm)
+	return sortedBy(stableSortPerm(ests, tfs), offers, ests, tfs)
 }
 
 // TestPackSortedMatchesPack checks the segmented pack on its own: for

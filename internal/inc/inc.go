@@ -9,22 +9,22 @@
 // The shard stores are copy-on-write: a stored *flexoffer.FlexOffer is
 // never mutated in place — replacing an offer installs a new pointer
 // (see shard.Stores). Pointer identity therefore implies content
-// identity, and the cache keys each group by a hash of its members'
-// pointer identities (small dense IDs handed out per pointer, retained
-// across runs only for pointers still alive in the store). A group
-// whose members are all unchanged hashes to its previous key and reuses
+// identity, and a group is addressed by its members' pointers: the
+// cache finds a group's previous entry by its first member pointer and
+// verifies the hit by comparing every member pointer in order. A group
+// whose members are all unchanged finds its previous entry and reuses
 // the cached aggregate outright; any membership change — an offer
 // added, replaced (new pointer, even under the same ID and sequence
-// number) or deleted — changes the key and the group aggregates fresh.
-// No explicit invalidation is needed for correctness: stale entries
-// simply stop being addressed. EST-gap cuts bound the blast radius of
-// one offer change to the groups of its own gap segment — groups in
-// other segments keep their exact member pointers (the grouping
-// stability test pins this), so they keep their keys.
-//
-// Hash collisions cannot corrupt results: a key hit is verified by
-// comparing the stored member pointers, and a mismatch is treated as a
-// miss (slower, never wrong).
+// number) or deleted — fails the comparison and the group aggregates
+// fresh. No hashing and no per-offer bookkeeping is involved: the
+// lookup map holds one entry per cached group. No explicit
+// invalidation is needed for correctness: stale entries simply stop
+// being addressed. Pointer identity stays sound across runs because
+// the cached member slices keep every cached offer alive, so its
+// address cannot be handed to a new offer. EST-gap cuts bound the
+// blast radius of one offer change to the groups of its own gap
+// segment — groups in other segments keep their exact member pointers
+// (the grouping stability test pins this), so they keep hitting.
 //
 // # Delta re-placement
 //
@@ -109,7 +109,8 @@ type Stats struct {
 	Hits, Misses int64
 	// Reused counts placements replayed from cache; Replaced counts
 	// clean groups re-placed because their window was perturbed; Placed
-	// counts dirty groups placed fresh.
+	// counts the groups placed fresh — dirty groups, and every group of
+	// a full run. Each group of each successful run counts exactly once.
 	Reused, Replaced, Placed int64
 	// LastGroups, LastDirty and LastReused describe the most recent run:
 	// total groups, groups whose aggregate was recomputed, and
@@ -122,7 +123,6 @@ type Stats struct {
 // committed, its disaggregation, and the scan window the reuse check
 // covers.
 type entry struct {
-	key     uint64
 	members []*flexoffer.FlexOffer
 	agg     *aggregate.Aggregated
 	asg     flexoffer.Assignment
@@ -131,16 +131,15 @@ type entry struct {
 }
 
 // State is the cached side of incremental scheduling for one engine:
-// the previous run's entries in group order, the pointer-identity map
-// keying them, and the config fingerprint guarding reuse. Run replaces
-// the whole state atomically on success and leaves it untouched on
-// error, so a failed or cancelled run never poisons the cache.
+// the previous run's entries in group order, the first-member map
+// addressing them, and the config fingerprint guarding reuse. Run
+// replaces the whole state atomically on success and leaves it
+// untouched on error, so a failed or cancelled run never poisons the
+// cache.
 type State struct {
-	mu     sync.Mutex
-	ids    map[*flexoffer.FlexOffer]uint64
-	nextID uint64
-	prev   []*entry
-	byKey  map[uint64]int
+	mu      sync.Mutex
+	prev    []entry
+	byFirst map[*flexoffer.FlexOffer]int
 
 	// Fingerprint of the run that produced prev: target and cap guard
 	// placement reuse, safe guards aggregate reuse.
@@ -154,17 +153,14 @@ type State struct {
 
 // NewState returns an empty incremental state.
 func NewState() *State {
-	return &State{ids: make(map[*flexoffer.FlexOffer]uint64)}
+	return &State{}
 }
 
-// Invalidate drops every cached entry — the store-reset hook. The
-// pointer-identity map is dropped too; a reset store hands out fresh
-// pointers anyway.
+// Invalidate drops every cached entry — the store-reset hook.
 func (s *State) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.prev, s.byKey, s.valid = nil, nil, false
-	s.ids = make(map[*flexoffer.FlexOffer]uint64)
+	s.prev, s.byFirst, s.valid = nil, nil, false
 }
 
 // Stats returns a snapshot of the cache statistics.
@@ -174,18 +170,8 @@ func (s *State) Stats() Stats {
 	return s.stats
 }
 
-// fnv1a folds one 64-bit word into an FNV-1a hash.
-func fnv1a(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
-}
-
 // sameMembers reports whether two member slices hold the same pointers
-// in the same order — the collision-proof verification behind a key hit.
+// in the same order — the verification behind a first-member hit.
 func sameMembers(a, b []*flexoffer.FlexOffer) bool {
 	if len(a) != len(b) {
 		return false
@@ -214,7 +200,7 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 	// Safe-mode change: the cached aggregates were built the other way,
 	// so nothing is addressable.
 	if s.valid && s.safe != cfg.Safe {
-		s.prev, s.byKey = nil, nil
+		s.prev, s.byFirst = nil, nil
 	}
 	// Target or cap change: aggregates stay valid (they never see the
 	// target), placements don't.
@@ -222,39 +208,30 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 		s.peakCap == cfg.PeakCap && s.target.Equal(target)
 
 	n := len(groups)
-	next := make([]*entry, n)
-	newIDs := make(map[*flexoffer.FlexOffer]uint64, len(s.ids))
+	next := make([]entry, n)
 
-	// Phase 1: key every group and match it against the previous run.
-	// Matches must advance monotonically through prev — clean groups
-	// keep their relative order across runs (the grouping sort is stable
-	// over unchanged keys), so an out-of-order hit is either a hash
-	// collision or a reordering we defensively treat as a miss.
+	// Phase 1: match every group against the previous run by its first
+	// member, verified by all members. Matches must advance
+	// monotonically through prev — clean groups keep their relative
+	// order across runs (the grouping sort is stable over unchanged
+	// keys), so an out-of-order hit is a reordering we defensively
+	// treat as a miss. An empty group always misses.
 	match := make([]int, n) // prev index, or -1
 	dirty := 0
 	cursor := 0
 	for i, g := range groups {
-		key := uint64(14695981039346656037)
-		for _, f := range g {
-			id, ok := s.ids[f]
-			if !ok {
-				s.nextID++
-				id = s.nextID
-				s.ids[f] = id
-			}
-			newIDs[f] = id
-			key = fnv1a(key, id)
-		}
+		next[i].members = g
 		match[i] = -1
-		if p, ok := s.byKey[key]; ok && p >= cursor && sameMembers(s.prev[p].members, g) {
-			match[i] = p
-			cursor = p + 1
-			s.stats.Hits++
-		} else {
-			dirty++
-			s.stats.Misses++
+		if len(g) > 0 {
+			if p, ok := s.byFirst[g[0]]; ok && p >= cursor && sameMembers(s.prev[p].members, g) {
+				match[i] = p
+				cursor = p + 1
+				s.stats.Hits++
+				continue
+			}
 		}
-		next[i] = &entry{key: key, members: g}
+		dirty++
+		s.stats.Misses++
 	}
 
 	threshold := cfg.Threshold
@@ -307,10 +284,10 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 		Aggregates:  make([]*aggregate.Aggregated, n),
 		Assignments: make([]flexoffer.Assignment, n),
 	}
-	var reused int
+	var reused, replaced int
 	j := 0 // retire cursor into prev
 	for i := range groups {
-		e := next[i]
+		e := &next[i]
 		res.Aggregates[i] = e.agg
 		p := match[i]
 		if !replay || p < 0 {
@@ -327,10 +304,9 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 		// matched one: their load is in the previous run's prefix but
 		// not in ours.
 		for ; j < p; j++ {
-			pe := s.prev[j]
-			rep.Retire(pe.asg.Start, pe.asg.Values)
+			rep.Retire(s.prev[j].asg.Start, s.prev[j].asg.Values)
 		}
-		pe := s.prev[p]
+		pe := &s.prev[p]
 		j = p + 1
 		if rep.CanReuse(e.lo, e.hi) {
 			// Zero difference over the scan window: a fresh scan would
@@ -358,7 +334,7 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 			// function of (aggregate, assignment), so it carries over.
 			e.parts = pe.parts
 		}
-		s.stats.Replaced++
+		replaced++
 	}
 	res.Load = rep.Load()
 	sp.End()
@@ -371,8 +347,8 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 	disIdx := make([]int, 0, n)
 	disAgs := make([]*aggregate.Aggregated, 0, n)
 	disAsgs := make([]flexoffer.Assignment, 0, n)
-	for i, e := range next {
-		if e.parts == nil {
+	for i := range next {
+		if e := &next[i]; e.parts == nil {
 			disIdx = append(disIdx, i)
 			disAgs = append(disAgs, e.agg)
 			disAsgs = append(disAsgs, e.asg)
@@ -388,24 +364,24 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 		}
 	}
 	res.Disaggregated = make([][]flexoffer.Assignment, n)
-	for i, e := range next {
-		res.Disaggregated[i] = e.parts
+	for i := range next {
+		res.Disaggregated[i] = next[i].parts
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Success: swap the state. Entries index by key (first wins on the
-	// astronomically unlikely intra-run collision; the loser just
-	// misses next time), and the identity map retains exactly the
-	// pointers still addressable.
-	byKey := make(map[uint64]int, n)
-	for i, e := range next {
-		if _, ok := byKey[e.key]; !ok {
-			byKey[e.key] = i
+	// Success: swap the state. Entries index by first member (first
+	// wins when groups share one; the loser just misses next time).
+	byFirst := make(map[*flexoffer.FlexOffer]int, n)
+	for i := range next {
+		if g := next[i].members; len(g) > 0 {
+			if _, ok := byFirst[g[0]]; !ok {
+				byFirst[g[0]] = i
+			}
 		}
 	}
-	s.prev, s.byKey, s.ids = next, byKey, newIDs
+	s.prev, s.byFirst = next, byFirst
 	s.target, s.peakCap, s.safe, s.valid = target, cfg.PeakCap, cfg.Safe, true
 
 	s.stats.Runs++
@@ -413,7 +389,8 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 		s.stats.FullRuns++
 	}
 	s.stats.Reused += int64(reused)
-	s.stats.Placed += int64(n - reused)
+	s.stats.Replaced += int64(replaced)
+	s.stats.Placed += int64(n - reused - replaced)
 	s.stats.LastGroups = n
 	s.stats.LastDirty = dirty
 	s.stats.LastReused = reused

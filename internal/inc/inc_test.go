@@ -89,21 +89,3 @@ func TestRemapGroupErr(t *testing.T) {
 		t.Fatal("plain error not passed through")
 	}
 }
-
-// TestFNV1aDistinguishes sanity-checks the key fold: permutations and
-// membership changes produce different keys (collision handling is
-// verified separately by sameMembers on every hit).
-func TestFNV1aDistinguishes(t *testing.T) {
-	const basis = 14695981039346656037
-	key := func(ids ...uint64) uint64 {
-		h := uint64(basis)
-		for _, id := range ids {
-			h = fnv1a(h, id)
-		}
-		return h
-	}
-	a, b, c := key(1, 2, 3), key(3, 2, 1), key(1, 2)
-	if a == b || a == c || b == c {
-		t.Fatalf("key fold collides: %d %d %d", a, b, c)
-	}
-}

@@ -6,10 +6,10 @@ import "sync/atomic"
 // mutations (adds, replaces, deletes, resets) wired into the ingest and
 // reset handlers, against the high-water mark of the last schedule run.
 // It does not gate correctness — the content-addressed cache catches
-// every change by keying, including replacements that keep their offer
-// ID and sequence number — it makes the churn observable: Pending is
-// the flexd_sched_pending_mutations gauge, the number of mutations the
-// next schedule will have to absorb.
+// every change by comparing member pointers, including replacements
+// that keep their offer ID and sequence number — it makes the churn
+// observable: Pending is the flexd_sched_pending_mutations gauge, the
+// number of mutations the next schedule will have to absorb.
 type Tracker struct {
 	mutations atomic.Int64
 	scheduled atomic.Int64

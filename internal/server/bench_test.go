@@ -73,16 +73,16 @@ func postNDJSON(b *testing.B, url string, offers []*flexoffer.FlexOffer) {
 
 // BenchmarkScheduleEndpoint50k is one POST /v1/schedule over 50k
 // stored offers with dense earliest starts on a two-shard server with
-// safe aggregation and incremental scheduling on, as flexd runs by
-// default, body drained. Before every request, outside the timer, 25
-// offers are re-submitted under existing IDs: on a dense fleet that
-// shifts the packing behind them, so most groups are re-aggregated and
-// every request is a full run — grouping, aggregation, scheduling,
-// disaggregation and the streamed encode, with its bytes and
-// allocations.
+// safe aggregation, body drained, with incremental scheduling on (as
+// flexd runs by default) and off. Before every request, outside the
+// timer, 25 offers are re-submitted under existing IDs — the same
+// sequence for both sub-benchmarks: on a dense fleet that shifts the
+// packing behind them, so most groups are re-aggregated and every
+// incremental request is a full run — grouping, aggregation,
+// scheduling, disaggregation and the streamed encode, with its bytes
+// and allocations. inc=on must never be slower than inc=off.
 func BenchmarkScheduleEndpoint50k(b *testing.B) {
-	rng := rand.New(rand.NewSource(99))
-	offers, err := workload.Population(rng, 50000, 2, workload.DefaultMix())
+	offers, err := workload.Population(rand.New(rand.NewSource(99)), 50000, 2, workload.DefaultMix())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,35 +94,43 @@ func BenchmarkScheduleEndpoint50k(b *testing.B) {
 		expected += (f.TotalMin + f.TotalMax) / 2
 	}
 	horizon += workload.SlotsPerDay
-	srv := benchServer(b, offers, flex.NewSharded(2, flex.WithSafe(true), flex.WithIncremental(true)))
-	query := fmt.Sprintf("%s/v1/schedule?horizon=%d&target=%d&est=2&max-group=64",
-		srv.URL, horizon, expected/int64(horizon))
-	schedule := func() int64 {
-		resp, err := http.Post(query, "", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			b.Fatalf("schedule: %s, %d bytes, %v", resp.Status, n, err)
-		}
-		return n
-	}
-	schedule() // warm the incremental cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		churn, err := workload.Population(rng, 25, 2, workload.DefaultMix())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, f := range churn {
-			f.ID = fmt.Sprintf("p-%05d", rng.Intn(len(offers)))
-		}
-		postNDJSON(b, srv.URL, churn)
-		b.StartTimer()
-		b.SetBytes(schedule())
+	for _, mode := range []struct {
+		name string
+		inc  bool
+	}{{"inc=on", true}, {"inc=off", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(100))
+			srv := benchServer(b, offers, flex.NewSharded(2, flex.WithSafe(true), flex.WithIncremental(mode.inc)))
+			query := fmt.Sprintf("%s/v1/schedule?horizon=%d&target=%d&est=2&max-group=64",
+				srv.URL, horizon, expected/int64(horizon))
+			schedule := func() int64 {
+				resp, err := http.Post(query, "", nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, err := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("schedule: %s, %d bytes, %v", resp.Status, n, err)
+				}
+				return n
+			}
+			schedule() // warm the incremental cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				churn, err := workload.Population(rng, 25, 2, workload.DefaultMix())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range churn {
+					f.ID = fmt.Sprintf("p-%05d", rng.Intn(len(offers)))
+				}
+				postNDJSON(b, srv.URL, churn)
+				b.StartTimer()
+				b.SetBytes(schedule())
+			}
+		})
 	}
 }
