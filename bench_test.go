@@ -172,37 +172,6 @@ func BenchmarkSchedule500(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedule1000 compares the incremental delta evaluator
-// against the legacy full-recompute evaluator on the same 1000-offer
-// workload, with allocation reporting. The candidate-evaluation loop of
-// the incremental path does zero allocations (pinned by
-// sched.TestPlaceCandidateLoopZeroAllocs and BenchmarkPlaceIncremental);
-// the allocs/op reported here are the per-offer result materialization
-// (one Values slice per assignment) plus the fixed evaluator buffers.
-func BenchmarkSchedule1000(b *testing.B) {
-	offers := benchOffers(1000)
-	r := rand.New(rand.NewSource(7))
-	target := workload.WindProfile(r, 4*workload.SlotsPerDay, 50)
-	for _, bc := range []struct {
-		name string
-		opts sched.Options
-	}{
-		{"incremental", sched.Options{}},
-		{"legacy", sched.Options{FullRecompute: true}},
-		{"incremental-capped", sched.Options{PeakCap: 120}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.Schedule(offers, target, bc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSchedulePipeline1000 measures the streaming
 // group→aggregate→schedule→disaggregate chain end to end through
 // Engine.Pipeline; compare the shards=S/workers=N sub-benchmarks on

@@ -1,10 +1,6 @@
 package main
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRunSingleExperiment(t *testing.T) {
 	if err := run([]string{"-exp", "F1"}); err != nil {
@@ -24,99 +20,11 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-func TestRunAggCompare(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runAggCompare(&buf, 2000, 4); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "aggregated 2000 offers") ||
-		!strings.Contains(out, "serial and parallel outputs are identical") {
-		t.Errorf("comparison output wrong:\n%s", out)
-	}
-}
-
-// TestRunAggFlag covers the flag wiring from run() to runAggCompare.
-func TestRunAggFlag(t *testing.T) {
-	if err := run([]string{"-agg", "200", "-workers", "2"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunAggCompareDefaultWorkers(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runAggCompare(&buf, 500, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "outputs are identical") {
-		t.Errorf("comparison output wrong:\n%s", buf.String())
-	}
-}
-
 func TestRunAllWithCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
 	if err := run([]string{"-check"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunSchedCompare(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runSchedCompare(&buf, 500, 4, false); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "legacy and incremental schedules are identical") ||
-		!strings.Contains(out, "batch and streaming schedules are identical") {
-		t.Errorf("comparison output wrong:\n%s", out)
-	}
-}
-
-// TestRunSchedFlag covers the flag wiring from run() to runSchedCompare.
-func TestRunSchedFlag(t *testing.T) {
-	if err := run([]string{"-sched", "150", "-workers", "2"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunIngestCompare(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runIngestCompare(&buf, 2000, 3); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "decoded 2000 NDJSON records") ||
-		!strings.Contains(out, "serial and sharded decodes are identical") {
-		t.Errorf("comparison output wrong:\n%s", out)
-	}
-}
-
-// TestRunIngestFlag covers the flag wiring from run() to
-// runIngestCompare.
-func TestRunIngestFlag(t *testing.T) {
-	if err := run([]string{"-ingest", "200", "-workers", "2"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunGroupCompare(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runGroupCompare(&buf, 2000, 3); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "grouped 2000 offers") ||
-		!strings.Contains(out, "serial and sharded groupings are identical") {
-		t.Errorf("comparison output wrong:\n%s", out)
-	}
-}
-
-// TestRunGroupFlag covers the flag wiring from run() to
-// runGroupCompare.
-func TestRunGroupFlag(t *testing.T) {
-	if err := run([]string{"-group", "200", "-workers", "2"}); err != nil {
 		t.Fatal(err)
 	}
 }

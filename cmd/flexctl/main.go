@@ -34,7 +34,6 @@ import (
 	"flexmeasures/internal/flexoffer"
 	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/render"
-	"flexmeasures/internal/sched"
 	"flexmeasures/internal/server"
 	"flexmeasures/internal/timeseries"
 )
@@ -376,7 +375,6 @@ func cmdSchedule(args []string, out io.Writer) error {
 	horizon := fs.Int("horizon", 48, "scheduling horizon in time units")
 	level := fs.Int64("target", -1, "flat target level per slot (-1: fleet average)")
 	cap := fs.Int64("cap", 0, "soft peak cap (0: uncapped)")
-	legacy := fs.Bool("legacy", false, "use the legacy full-recompute candidate evaluator")
 	pipeline := fs.Bool("pipeline", false, "stream group→aggregate→schedule→disaggregate instead of scheduling raw offers")
 	asJSON := fs.Bool("json", false, "emit the flexd wire format instead of the summary (with -pipeline)")
 	workers := fs.Int("workers", 0, "pipeline worker-pool size (with -pipeline; 0: one per CPU)")
@@ -398,19 +396,6 @@ func cmdSchedule(args []string, out io.Writer) error {
 	// the flexd /v1/schedule endpoint's.
 	lvl := server.FlatTargetLevel(offers, *horizon, *level)
 	target := timeseries.Constant(0, *horizon, lvl)
-	if *legacy {
-		if *pipeline {
-			return fmt.Errorf("-legacy applies to direct scheduling only: the streaming pipeline always uses the incremental evaluator")
-		}
-		res, err := sched.Schedule(offers, target, sched.Options{PeakCap: *cap, FullRecompute: true})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "scheduled %d offers against a flat target of %d/slot over %d slots\n",
-			len(offers), lvl, *horizon)
-		fmt.Fprintf(out, "imbalance (L1): %.0f   peak load: %d\n", res.Imbalance(target), res.PeakLoad())
-		return nil
-	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
 	}

@@ -161,28 +161,6 @@ func TestScheduleSubcommand(t *testing.T) {
 	}
 }
 
-// TestScheduleSubcommandLegacyEvaluator pins the oracle flag: both
-// evaluators must report the same schedule quality.
-func TestScheduleSubcommandLegacyEvaluator(t *testing.T) {
-	path := writeFixture(t)
-	var inc, legacy bytes.Buffer
-	if err := run([]string{"schedule", "-horizon", "12", path}, &inc); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"schedule", "-horizon", "12", "-legacy", path}, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if inc.String() != legacy.String() {
-		t.Errorf("legacy evaluator output differs:\n%s\nvs\n%s", inc.String(), legacy.String())
-	}
-}
-
-func TestScheduleSubcommandPipelineRejectsLegacy(t *testing.T) {
-	if err := run([]string{"schedule", "-pipeline", "-legacy", writeFixture(t)}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-pipeline with -legacy must be rejected, not silently ignored")
-	}
-}
-
 func TestScheduleSubcommandPipeline(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"schedule", "-pipeline", "-workers", "2", "-horizon", "12", writeFixture(t)}, &buf); err != nil {

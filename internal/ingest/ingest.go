@@ -196,7 +196,7 @@ func DecodeNDJSON(ctx context.Context, r io.Reader, p Params) ([]*flexoffer.Flex
 // DecodeNDJSONSerial is the one-goroutine reference decoder: a plain
 // line-by-line loop with no blocks, no shards and no pool. It is the
 // oracle the sharded path is equivalence-tested against, and the serial
-// baseline flexbench -ingest measures the shards against.
+// baseline BenchmarkDecodeNDJSONSerial measures the shards against.
 func DecodeNDJSONSerial(r io.Reader, mode ErrorMode) ([]*flexoffer.FlexOffer, error) {
 	br := bufio.NewReader(r)
 	var (

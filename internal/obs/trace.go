@@ -45,7 +45,7 @@ type SpanData struct {
 
 // Tree renders the span forest as an indented text block — one span
 // per line with duration, shard and start offset — for slow-request
-// log lines and flexbench -trace output.
+// log lines.
 func (td TraceData) Tree() string {
 	children := make([][]int, len(td.Spans))
 	var roots []int

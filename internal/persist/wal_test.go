@@ -20,7 +20,7 @@ import (
 )
 
 // fleet builds n reproducible offers with unique IDs.
-func fleet(t *testing.T, seed int64, n int) []*flexoffer.FlexOffer {
+func fleet(t testing.TB, seed int64, n int) []*flexoffer.FlexOffer {
 	t.Helper()
 	offers, err := workload.Population(rand.New(rand.NewSource(seed)), n, 2, workload.DefaultMix())
 	if err != nil {
@@ -107,7 +107,7 @@ func TestWALRoundtrip(t *testing.T) {
 	}
 }
 
-func dirNames(t *testing.T, dir string) []string {
+func dirNames(t testing.TB, dir string) []string {
 	t.Helper()
 	names, err := OS().ReadDir(dir)
 	if err != nil {

@@ -257,7 +257,7 @@ func (p *Pool) trySubmit(task func()) (ok bool) {
 // one per logical CPU) and waits for them. This is the per-call
 // spin-up model the Engine's persistent pool replaces; it remains the
 // substrate of the parallel stages when no engine pool is attached,
-// and the baseline that `flexbench -engine` measures the pool against.
+// and the baseline BenchmarkForEachSpinUp measures the pool against.
 func Run(n, workers, batch int, fn func(int)) {
 	if n <= 0 {
 		return

@@ -22,39 +22,17 @@ var ErrResultMismatch = errors.New("sched: result does not match the offer set")
 // of the fleet; re-placement with full knowledge recovers much of that
 // gap. Improve runs on the incremental evaluator: lifting an assignment
 // out and scoring every candidate start both cost O(profile) in exact
-// integer deltas, instead of the legacy evaluator's O(horizon) series
-// materialization per candidate — the same win Schedule got. The legacy
-// path is retained behind Options.FullRecompute (ImproveWith) as the
-// equivalence oracle. The result always remains a valid schedule, and
-// the imbalance is non-increasing round over round — properties the
-// tests pin down.
+// integer deltas, instead of an O(horizon) series materialization per
+// candidate — the same win Schedule got. A move is accepted exactly
+// when the removal and placement deltas sum negative: the
+// strictly-lower-imbalance criterion the full-recompute test oracle
+// evaluates from scratch. The result always remains a valid schedule,
+// and the imbalance is non-increasing round over round — properties
+// the tests pin down.
 func Improve(offers []*flexoffer.FlexOffer, target timeseries.Series, res *Result, maxRounds int) (*Result, error) {
-	return ImproveWith(offers, target, res, maxRounds, Options{})
-}
-
-// ImproveWith is Improve with explicit options. Only
-// Options.FullRecompute is consulted: it selects the legacy evaluator,
-// which re-ranks every candidate from fully materialized series. Both
-// evaluators produce identical refined schedules (the equivalence
-// property test pins this).
-func ImproveWith(offers []*flexoffer.FlexOffer, target timeseries.Series, res *Result, maxRounds int, opts Options) (*Result, error) {
 	if res == nil || len(res.Assignments) != len(offers) {
 		return nil, ErrResultMismatch
 	}
-	if opts.FullRecompute {
-		return improveFullRecompute(offers, target, res, maxRounds)
-	}
-	return improveIncremental(offers, target, res, maxRounds)
-}
-
-// improveIncremental is the default local-search loop, built on the
-// same evaluator as Schedule: the residual load−target lives in an
-// accumulator, removing an assignment and scoring a re-placement are
-// O(profile) integer-delta operations, and a move is accepted exactly
-// when the removal and placement deltas sum negative — the same
-// strictly-lower-imbalance criterion the legacy loop evaluates from
-// scratch.
-func improveIncremental(offers []*flexoffer.FlexOffer, target timeseries.Series, res *Result, maxRounds int) (*Result, error) {
 	out := &Result{Assignments: make([]flexoffer.Assignment, len(res.Assignments))}
 	for i, a := range res.Assignments {
 		out.Assignments[i] = a.Clone()
@@ -65,9 +43,8 @@ func improveIncremental(offers []*flexoffer.FlexOffer, target timeseries.Series,
 	ev := newEvaluator(target, 0)
 	ev.reserve(offers)
 	// Seed the committed-load range with the input Load's domain so the
-	// final snapshot reproduces the legacy path's domain even when no
-	// move is accepted (the legacy path then returns the input Load
-	// untouched).
+	// final snapshot reproduces the oracle's domain even when no move
+	// is accepted (the oracle then returns the input Load untouched).
 	if !res.Load.IsEmpty() {
 		ev.load.Ensure(res.Load.Start, res.Load.End())
 		ev.loadLo, ev.loadHi, ev.placedAny = res.Load.Start, res.Load.End(), true
@@ -85,8 +62,8 @@ func improveIncremental(offers []*flexoffer.FlexOffer, target timeseries.Series,
 			dRemove := ev.removeValues(cur.Start, cur.Values)
 			start, dPlace, ok := ev.scan(f)
 			if !ok {
-				// Impossible for a Validate-d offer, but fail like the
-				// legacy loop rather than corrupting the schedule.
+				// Impossible for a Validate-d offer, but fail rather
+				// than corrupt the schedule.
 				ev.addValues(cur.Start, cur.Values)
 				return nil, fmt.Errorf("sched: re-placing offer %d: %w", i, flexoffer.ErrInfeasibleTotal)
 			}
@@ -108,58 +85,4 @@ func improveIncremental(offers []*flexoffer.FlexOffer, target timeseries.Series,
 	}
 	out.Load = ev.loadSeries()
 	return out, nil
-}
-
-// improveFullRecompute is the legacy local-search loop: every
-// re-placement materializes the residual and candidate load series and
-// compares full float64 L1 norms. Kept as the equivalence oracle for
-// improveIncremental and as BenchmarkImprove's baseline.
-func improveFullRecompute(offers []*flexoffer.FlexOffer, target timeseries.Series, res *Result, maxRounds int) (*Result, error) {
-	out := &Result{
-		Assignments: make([]flexoffer.Assignment, len(res.Assignments)),
-		Load:        res.Load.Clone(),
-	}
-	for i, a := range res.Assignments {
-		out.Assignments[i] = a.Clone()
-		if err := offers[i].ValidateAssignment(a); err != nil {
-			return nil, fmt.Errorf("%w: assignment %d: %v", ErrResultMismatch, i, err)
-		}
-	}
-	if maxRounds <= 0 {
-		maxRounds = len(offers) + 1
-	}
-	for round := 0; round < maxRounds; round++ {
-		improved := false
-		for i, f := range offers {
-			current := out.Assignments[i]
-			residual := timeseries.Sub(out.Load, current.Series())
-			replacement, err := placeOne(f, residual, target)
-			if err != nil {
-				return nil, fmt.Errorf("sched: re-placing offer %d: %w", i, err)
-			}
-			before := timeseries.Sub(out.Load, target).NormL1()
-			newLoad := timeseries.Add(residual, replacement.Series())
-			after := timeseries.Sub(newLoad, target).NormL1()
-			if after < before {
-				out.Assignments[i] = replacement
-				out.Load = newLoad
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return out, nil
-}
-
-// ScheduleAndImprove runs Schedule followed by Improve with the same
-// options (so Options.FullRecompute selects the legacy evaluator in
-// both phases); the common production entry point.
-func ScheduleAndImprove(offers []*flexoffer.FlexOffer, target timeseries.Series, opts Options, maxRounds int) (*Result, error) {
-	res, err := Schedule(offers, target, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ImproveWith(offers, target, res, maxRounds, opts)
 }

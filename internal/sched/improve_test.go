@@ -92,13 +92,23 @@ func TestImproveRejectsMismatchedResult(t *testing.T) {
 	}
 }
 
+// TestScheduleAndImprove pins the two-phase workflow: greedy Schedule,
+// then Improve on its result, reaches a perfect fit where the greedy
+// pass alone cannot.
 func TestScheduleAndImprove(t *testing.T) {
 	offers := []*flexoffer.FlexOffer{
 		flexoffer.MustNew(0, 4, sl(2, 2)),
 		flexoffer.MustNew(1, 1, sl(2, 2)),
 	}
 	target := timeseries.New(1, 2, 0, 2)
-	res, err := ScheduleAndImprove(offers, target, Options{}, 0)
+	base, err := Schedule(offers, target, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Imbalance(target) == 0 {
+		t.Fatal("greedy pass already fits: the fixture no longer needs Improve")
+	}
+	res, err := Improve(offers, target, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +138,7 @@ func TestPropertyImproveIncrementalEquivalence(t *testing.T) {
 			return false
 		}
 		maxRounds := r.Intn(4) // 0 = until convergence
-		legacy, err := ImproveWith(offers, target, base, maxRounds, Options{FullRecompute: true})
+		legacy, err := improveFullRecompute(offers, target, base, maxRounds)
 		if err != nil {
 			return false
 		}
@@ -181,7 +191,7 @@ func BenchmarkImprove200Legacy(b *testing.B) {
 	offers, target, base := improveBenchFleet(b, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ImproveWith(offers, target, base, 2, Options{FullRecompute: true}); err != nil {
+		if _, err := improveFullRecompute(offers, target, base, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

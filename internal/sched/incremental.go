@@ -7,12 +7,12 @@ import (
 	"flexmeasures/internal/timeseries"
 )
 
-// This file implements the incremental candidate evaluator behind
-// Schedule's default path. The legacy evaluator (placeOneCapped)
-// materializes two full-horizon series and an O(horizon) norm for every
-// candidate start of every offer; for a fleet of n offers with w-wide
-// start windows over an h-slot horizon that is O(n·w·h) slot reads and
-// one heap allocation per candidate. Only the offer's own k slots ever
+// This file implements the candidate evaluator behind Schedule and
+// Improve. A full-recompute evaluator — the test oracle placeOneCapped
+// in oracle_test.go — materializes two full-horizon series and an
+// O(horizon) norm for every candidate start of every offer; for a
+// fleet of n offers with w-wide start windows over an h-slot horizon
+// that is O(n·w·h) slot reads and one heap allocation per candidate. Only the offer's own k slots ever
 // change between candidates, so the evaluator below keeps the running
 //
 //	residual = load − target
@@ -26,8 +26,8 @@ import (
 // constant across the candidates of one offer, and both evaluators rank
 // candidates by the exact integer pair (overage, imbalance) with the
 // same betterCost comparison, so comparing deltas orders candidates
-// exactly as the legacy evaluator's full costs do — at every magnitude,
-// with no floating-point rounding anywhere. Candidate values are staged
+// exactly as the oracle's full costs do — at every magnitude, with no
+// floating-point rounding anywhere. Candidate values are staged
 // in reusable scratch buffers, making the evaluation loop
 // allocation-free — the property BenchmarkPlaceIncremental and
 // TestPlaceCandidateLoopZeroAllocs pin down.
@@ -38,15 +38,15 @@ type evaluator struct {
 	residual *timeseries.Accumulator
 	load     *timeseries.Accumulator
 	// cap is the soft peak cap (0: uncapped), weighted exactly like the
-	// legacy evaluator so the two rank candidates identically.
+	// full-recompute oracle so the two rank candidates identically.
 	cap int64
 	// scratch stages the candidate values of the start being scored;
 	// best holds the winning candidate's values.
 	scratch []int64
 	best    []int64
 	// loadLo/loadHi track the union range of committed assignments, so
-	// loadSeries can reproduce the legacy Result.Load exactly (its range
-	// is the union of the assignment ranges, not the target's).
+	// loadSeries can reproduce the oracle's Result.Load exactly (its
+	// range is the union of the assignment ranges, not the target's).
 	loadLo, loadHi int
 	placedAny      bool
 }
@@ -181,7 +181,7 @@ func (ev *evaluator) addValues(start int, vals []int64) (dAbs int64) {
 // removeValues subtracts vals from the running buffers starting at
 // start — Improve's "lift one assignment out of the load" step — and
 // returns the imbalance delta Σ |r−v| − |r| of the removal. The
-// committed-load range never shrinks, matching the legacy path, whose
+// committed-load range never shrinks, matching the oracle, whose
 // series domains only ever grow.
 func (ev *evaluator) removeValues(start int, vals []int64) (dAbs int64) {
 	if len(vals) == 0 {
@@ -215,7 +215,7 @@ func placeOffer(ev *evaluator, f *flexoffer.FlexOffer, idx int) (flexoffer.Assig
 }
 
 // loadSeries snapshots the committed load over the union range of the
-// placed assignments — exactly the series the legacy path builds by
+// placed assignments — exactly the series the oracle builds by
 // folding assignment series with timeseries.Add.
 func (ev *evaluator) loadSeries() timeseries.Series {
 	if !ev.placedAny {
@@ -224,12 +224,12 @@ func (ev *evaluator) loadSeries() timeseries.Series {
 	return ev.load.Snapshot(ev.loadLo, ev.loadHi)
 }
 
-// fitInto is the allocation-free core of fitValues: it writes the
+// fitInto chooses the candidate values at one start: it writes the
 // candidate values for the offer into vals (len == NumSlices), reading
 // the gap to the target from the residual cells (want = −residual), and
 // repairs the total into [cmin, cmax]. It reports whether the candidate
-// is feasible. fitValues wraps it for the legacy evaluator, so the two
-// paths choose identical values by construction.
+// is feasible. The full-recompute oracle wraps it too, so the two
+// evaluators choose identical values by construction.
 func fitInto(f *flexoffer.FlexOffer, residual, vals []int64) bool {
 	for i, s := range f.Slices {
 		v := -residual[i] // want = target − load

@@ -30,19 +30,18 @@ func equivCases() []equivCase {
 	}
 }
 
-// scheduleBothWays runs the same scheduling problem through the legacy
-// and incremental evaluators (with independent but identically seeded
-// rand sources for OrderRandom) and fails unless the results are
-// identical.
+// scheduleBothWays runs the same scheduling problem through the
+// full-recompute oracle and Schedule's incremental evaluator (with
+// independent but identically seeded rand sources for OrderRandom) and
+// fails unless the results are identical.
 func scheduleBothWays(t *testing.T, offers []*flexoffer.FlexOffer, target timeseries.Series, opts Options, seed int64) {
 	t.Helper()
 	legacyOpts, incOpts := opts, opts
-	legacyOpts.FullRecompute = true
 	if opts.Order == OrderRandom {
 		legacyOpts.Rand = rand.New(rand.NewSource(seed))
 		incOpts.Rand = rand.New(rand.NewSource(seed))
 	}
-	legacy, errL := Schedule(offers, target, legacyOpts)
+	legacy, errL := scheduleFullRecompute(offers, target, legacyOpts)
 	inc, errI := Schedule(offers, target, incOpts)
 	if (errL == nil) != (errI == nil) {
 		t.Fatalf("error divergence: legacy %v, incremental %v", errL, errI)
@@ -226,5 +225,38 @@ func BenchmarkPlaceIncremental(b *testing.B) {
 		if _, ok := ev.place(f); !ok {
 			b.Fatal("placement failed")
 		}
+	}
+}
+
+// BenchmarkSchedule1000 compares the incremental delta evaluator
+// against the full-recompute oracle on the same 1000-offer workload,
+// with allocation reporting. The candidate-evaluation loop of the
+// incremental path does zero allocations (pinned by
+// TestPlaceCandidateLoopZeroAllocs and BenchmarkPlaceIncremental); the
+// allocs/op reported here are the per-offer result materialization
+// (one Values slice per assignment) plus the fixed evaluator buffers.
+func BenchmarkSchedule1000(b *testing.B) {
+	offers, err := workload.Population(rand.New(rand.NewSource(99)), 1000, 3, workload.DefaultMix())
+	if err != nil {
+		b.Fatal(err)
+	}
+	target := workload.WindProfile(rand.New(rand.NewSource(7)), 4*workload.SlotsPerDay, 50)
+	for _, bc := range []struct {
+		name     string
+		schedule func([]*flexoffer.FlexOffer, timeseries.Series, Options) (*Result, error)
+		opts     Options
+	}{
+		{"incremental", Schedule, Options{}},
+		{"legacy", scheduleFullRecompute, Options{}},
+		{"incremental-capped", Schedule, Options{PeakCap: 120}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.schedule(offers, target, bc.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -79,14 +79,6 @@ type Options struct {
 	// when the fleet's mandatory energy cannot fit under it, the
 	// schedule is still produced, with the overage minimised.
 	PeakCap int64
-	// FullRecompute switches Schedule to the legacy candidate
-	// evaluator, which materializes the full load and difference series
-	// and recomputes their O(horizon) norm for every candidate start.
-	// The default incremental evaluator scores each candidate in O(k)
-	// over only the offer's own slots and produces identical schedules
-	// (the equivalence property test pins this); the legacy path is
-	// retained as the oracle for that test and for flexbench -sched.
-	FullRecompute bool
 }
 
 // Result is a complete schedule: one assignment per offer (by input
@@ -128,10 +120,8 @@ func (r *Result) PeakLoad() int64 {
 // contribution wins. The returned assignments are always valid for their
 // offers.
 //
-// By default candidates are scored by the incremental delta evaluator
-// (see incremental.go), which does zero allocations in the candidate
-// loop; Options.FullRecompute selects the legacy full-recompute
-// evaluator. Both produce identical schedules.
+// Candidates are scored by the incremental delta evaluator (see
+// incremental.go), which does zero allocations in the candidate loop.
 func Schedule(offers []*flexoffer.FlexOffer, target timeseries.Series, opts Options) (*Result, error) {
 	if len(offers) == 0 {
 		return nil, ErrNoOffers
@@ -139,9 +129,6 @@ func Schedule(offers []*flexoffer.FlexOffer, target timeseries.Series, opts Opti
 	order, err := placementOrder(offers, opts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.FullRecompute {
-		return scheduleFullRecompute(offers, order, target, opts)
 	}
 	res := &Result{Assignments: make([]flexoffer.Assignment, len(offers))}
 	ev := newEvaluator(target, opts.PeakCap)
@@ -154,28 +141,6 @@ func Schedule(offers []*flexoffer.FlexOffer, target timeseries.Series, opts Opti
 		res.Assignments[idx] = a
 	}
 	res.Load = ev.loadSeries()
-	return res, nil
-}
-
-// scheduleFullRecompute is the legacy scheduling loop: every candidate
-// evaluation materializes the would-be load and its difference to the
-// target. Kept as the equivalence oracle for the incremental evaluator.
-func scheduleFullRecompute(offers []*flexoffer.FlexOffer, order []int, target timeseries.Series, opts Options) (*Result, error) {
-	res := &Result{Assignments: make([]flexoffer.Assignment, len(offers))}
-	load := timeseries.Series{}
-	for _, idx := range order {
-		f := offers[idx]
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("sched: offer %d: %w", idx, err)
-		}
-		best, err := placeOneCapped(f, load, target, opts.PeakCap)
-		if err != nil {
-			return nil, fmt.Errorf("sched: offer %d: %w", idx, err)
-		}
-		res.Assignments[idx] = best
-		load = timeseries.Add(load, best.Series())
-	}
-	res.Load = load
 	return res, nil
 }
 
@@ -220,43 +185,6 @@ func placementOrder(offers []*flexoffer.FlexOffer, opts Options) ([]int, error) 
 	}
 }
 
-// placeOne finds the best assignment of f given the current load.
-func placeOne(f *flexoffer.FlexOffer, load, target timeseries.Series) (flexoffer.Assignment, error) {
-	return placeOneCapped(f, load, target, 0)
-}
-
-// placeOneCapped is placeOne with a soft peak cap: any amount of |load|
-// above the cap outranks any amount of imbalance, so capped placements
-// are preferred whenever one exists. Candidates are compared by the
-// exact integer pair (overage, imbalance) — lexicographically, via
-// betterCost — rather than a float-weighted sum, so the ranking is
-// identical to the incremental evaluator's delta ranking at every
-// magnitude (float64 summation would lose low-order bits past 2^53).
-func placeOneCapped(f *flexoffer.FlexOffer, load, target timeseries.Series, cap int64) (flexoffer.Assignment, error) {
-	var best flexoffer.Assignment
-	var bestAbs, bestOver int64
-	found := false
-	for start := f.EarliestStart; start <= f.LatestStart; start++ {
-		a, err := fitValues(f, start, load, target)
-		if err != nil {
-			continue
-		}
-		after := timeseries.Add(load, a.Series())
-		costAbs := normL1Int(timeseries.Sub(after, target))
-		var costOver int64
-		if cap > 0 {
-			costOver = overage(after, cap)
-		}
-		if !found || betterCost(costOver, costAbs, bestOver, bestAbs) {
-			best, bestAbs, bestOver, found = a, costAbs, costOver, true
-		}
-	}
-	if !found {
-		return flexoffer.Assignment{}, flexoffer.ErrInfeasibleTotal
-	}
-	return best, nil
-}
-
 // betterCost ranks candidate costs: less overage wins outright (the cap
 // is "prohibitively expensive"), imbalance breaks ties. Strict
 // comparison, so among equals the earliest-scanned start wins — the
@@ -266,53 +194,6 @@ func betterCost(over, abs, bestOver, bestAbs int64) bool {
 		return over < bestOver
 	}
 	return abs < bestAbs
-}
-
-// normL1Int is the L1 norm in exact integer arithmetic.
-func normL1Int(s timeseries.Series) int64 {
-	var sum int64
-	for _, v := range s.Values {
-		if v < 0 {
-			v = -v
-		}
-		sum += v
-	}
-	return sum
-}
-
-// overage sums |load| above the cap across all slots.
-func overage(load timeseries.Series, cap int64) int64 {
-	var over int64
-	for _, v := range load.Values {
-		if v < 0 {
-			v = -v
-		}
-		if v > cap {
-			over += v - cap
-		}
-	}
-	return over
-}
-
-// fitValues chooses slice values at the given start that close the gap
-// to the target, then repairs the total into [cmin, cmax] by moving the
-// value set as little as possible. It is the legacy evaluator's wrapper
-// around fitInto (incremental.go), so both evaluators choose identical
-// values.
-func fitValues(f *flexoffer.FlexOffer, start int, load, target timeseries.Series) (flexoffer.Assignment, error) {
-	a := flexoffer.Assignment{Start: start, Values: make([]int64, f.NumSlices())}
-	residual := make([]int64, f.NumSlices())
-	for i := range residual {
-		t := start + i
-		residual[i] = load.At(t) - target.At(t)
-	}
-	if !fitInto(f, residual, a.Values) {
-		return flexoffer.Assignment{}, flexoffer.ErrInfeasibleTotal
-	}
-	if err := f.ValidateAssignment(a); err != nil {
-		return flexoffer.Assignment{}, err
-	}
-	return a, nil
 }
 
 // repairTotal nudges vals — already clamped into their slice ranges — so
