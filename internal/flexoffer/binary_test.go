@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -245,8 +246,9 @@ func TestJSONDecodeNeverPanicsOnCorruption(t *testing.T) {
 
 // TestBinaryHostileHeadersBoundAllocation feeds tiny inputs whose size
 // headers claim huge counts. Decoding must fail, and must not allocate
-// memory in proportion to the claimed count: the up-front capacity is
-// capped, so the allocation stays bounded by what actually decodes.
+// memory in proportion to the claimed count or length: every length is
+// checked against the bytes that remain before anything is allocated
+// for it, so the allocation stays bounded by the input.
 func TestBinaryHostileHeadersBoundAllocation(t *testing.T) {
 	uvarint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -274,6 +276,25 @@ func TestBinaryHostileHeadersBoundAllocation(t *testing.T) {
 				return f.UnmarshalBinary(b)
 			},
 		},
+		{
+			// FXO1 | count 1 | idLen 2^20, then nothing: 8 bytes.
+			name:  "record id length",
+			input: cat([]byte("FXO1"), uvarint(1), uvarint(uint64(maxBinLen))),
+			decode: func(b []byte) error {
+				var f FlexOffer
+				return f.UnmarshalBinary(b)
+			},
+		},
+		{
+			// FXO2 | count 1 | idLen 0 | zoneLen 2^20, then nothing:
+			// 9 bytes.
+			name:  "record zone length",
+			input: cat([]byte("FXO2"), uvarint(1), uvarint(0), uvarint(uint64(maxBinLen))),
+			decode: func(b []byte) error {
+				var f FlexOffer
+				return f.UnmarshalBinary(b)
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -287,5 +308,54 @@ func TestBinaryHostileHeadersBoundAllocation(t *testing.T) {
 				t.Fatalf("%d-byte input allocated %d bytes, want under 1 MiB", len(tc.input), d)
 			}
 		})
+	}
+}
+
+// TestUnmarshalBinaryFailureLeavesReceiver pins that a failed decode
+// does not half-overwrite the receiver.
+func TestUnmarshalBinaryFailureLeavesReceiver(t *testing.T) {
+	src := MustNew(2, 6, Slice{1, 3}, Slice{0, 4})
+	src.ID, src.Zone = "kept", "z01"
+	enc, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := MustNew(0, 1, Slice{5, 9})
+	other.ID = "other"
+	for cut := 0; cut < len(enc); cut++ {
+		f := *src
+		if err := f.UnmarshalBinary(append(enc[:cut:cut], 0xff)); err == nil {
+			t.Fatalf("cut %d: corrupt record accepted", cut)
+		}
+		if !reflect.DeepEqual(&f, src) {
+			t.Fatalf("cut %d: failed decode changed the receiver to %+v", cut, f)
+		}
+	}
+	f := *other
+	if err := f.UnmarshalBinary(enc); err != nil || !reflect.DeepEqual(&f, src) {
+		t.Fatalf("decode into a used receiver gave %+v, %v", f, err)
+	}
+}
+
+// TestAppendBinaryAppends pins the encoding.BinaryAppender contract:
+// the record lands after the existing bytes, which stay untouched.
+func TestAppendBinaryAppends(t *testing.T) {
+	f := MustNew(1, 4, Slice{-2, 3}, Slice{0, 1})
+	f.ID = "appended"
+	want, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("prefix")
+	got, err := f.AppendBinary(append([]byte(nil), prefix...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(prefix, want...)) {
+		t.Fatalf("AppendBinary = %q, want %q + %q", got, prefix, want)
+	}
+	bad := &FlexOffer{EarliestStart: 3, LatestStart: 1, Slices: []Slice{{0, 1}}}
+	if out, err := bad.AppendBinary(prefix); err == nil || !bytes.Equal(out, prefix) {
+		t.Fatalf("invalid offer: AppendBinary = %q, %v; want the input back and an error", out, err)
 	}
 }

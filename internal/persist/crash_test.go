@@ -283,6 +283,29 @@ func TestCrashDuringSnapshot(t *testing.T) {
 			}
 			re.Close()
 		}
+		if short {
+			// A buffered writer puts many records — a whole small
+			// snapshot — into one write, so halving it covers one tear
+			// per write. Tear every write at offsets spread across it
+			// too.
+			for at, size := range counter.WriteSizes() {
+				for _, keep := range tearOffsets(size) {
+					dir := t.TempDir()
+					scenario(&persist.FaultFS{Inner: persist.OS(), FailWriteAt: at + 1, ShortWrite: true, ShortWriteBytes: keep}, dir)
+					re, err := persist.OpenWAL(persist.Options{Dir: dir, Router: r})
+					if err != nil {
+						t.Fatalf("tear of write %d at byte %d of %d: reboot failed: %v", at+1, keep, size, err)
+					}
+					if re.Len() > wantLen {
+						t.Fatalf("tear of write %d at byte %d: recovered %d offers, clean run had %d", at+1, keep, re.Len(), wantLen)
+					}
+					if re.Len() > 0 {
+						_ = scheduleBytes(t, re.Snapshot(), 2, 2)
+					}
+					re.Close()
+				}
+			}
+		}
 		for at := 1; at <= counter.Syncs(); at++ {
 			dir := t.TempDir()
 			scenario(&persist.FaultFS{Inner: persist.OS(), FailSyncAt: at}, dir)
@@ -296,4 +319,26 @@ func TestCrashDuringSnapshot(t *testing.T) {
 			re.Close()
 		}
 	}
+}
+
+// tearOffsets picks the byte counts a torn write of size bytes keeps:
+// inside the first frame header and record, then spread evenly across
+// the write up to its last byte.
+func tearOffsets(size int) []int {
+	var out []int
+	seen := map[int]bool{}
+	add := func(k int) {
+		if k > 0 && k < size && !seen[k] {
+			seen[k] = true
+			out = append(out, k)
+		}
+	}
+	for _, k := range []int{1, 4, 5, 8, 9, 13} {
+		add(k)
+	}
+	for i := 1; i < 12; i++ {
+		add(size * i / 12)
+	}
+	add(size - 1)
+	return out
 }

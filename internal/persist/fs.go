@@ -75,8 +75,8 @@ var ErrInjected = fmt.Errorf("persist: injected fault")
 
 // FaultFS wraps an FS and injects failures: the Nth write (1-based,
 // counted across all files it created) fails — optionally persisting
-// only the first half of the buffer first, a short write, the torn-tail
-// shape a power cut leaves — and likewise for the Nth sync. Once a
+// only a prefix of the buffer first, a short write, the torn-tail shape
+// a power cut leaves — and likewise for the Nth sync. Once a
 // fault fires, every later write and sync on files from this FS fails
 // too: a dead disk does not come back. Reads are never disturbed, so a
 // store can replay from a directory whose writer was killed mid-record.
@@ -87,11 +87,17 @@ type FaultFS struct {
 	// ShortWrite, when a write fails, persists the first half of the
 	// buffer before reporting the error (a torn write).
 	ShortWrite bool
+	// ShortWriteBytes, when positive, makes a ShortWrite tear persist
+	// this many bytes instead of half (at most the buffer length − 1):
+	// sweeping it over WriteSizes tears a large buffered write at any
+	// offset inside it.
+	ShortWriteBytes int
 	// FailSyncAt fails the Nth Sync call; 0 disables.
 	FailSyncAt int
 
 	mu     sync.Mutex
 	writes int
+	sizes  []int
 	syncs  int
 	dead   bool
 }
@@ -102,6 +108,13 @@ func (f *FaultFS) Writes() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.writes
+}
+
+// WriteSizes reports the length of every Write call so far, in order.
+func (f *FaultFS) WriteSizes() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]int(nil), f.sizes...)
 }
 
 // Syncs reports how many Sync calls the FS has seen.
@@ -136,8 +149,13 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	f := ff.fs
 	f.mu.Lock()
 	f.writes++
+	f.sizes = append(f.sizes, len(p))
 	fail := f.dead || (f.FailWriteAt > 0 && f.writes >= f.FailWriteAt)
 	short := fail && !f.dead && f.ShortWrite
+	keep := len(p) / 2
+	if f.ShortWriteBytes > 0 {
+		keep = min(f.ShortWriteBytes, len(p)-1)
+	}
 	if fail {
 		f.dead = true
 	}
@@ -146,7 +164,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		return ff.inner.Write(p)
 	}
 	if short && len(p) > 1 {
-		n, _ := ff.inner.Write(p[:len(p)/2])
+		n, _ := ff.inner.Write(p[:keep])
 		return n, fmt.Errorf("%w: short write (%d of %d bytes)", ErrInjected, n, len(p))
 	}
 	return 0, fmt.Errorf("%w: write failure", ErrInjected)

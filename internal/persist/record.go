@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"flexmeasures/internal/flexoffer"
 	"flexmeasures/internal/shard"
@@ -16,11 +17,20 @@ import (
 //	payload: op byte | uvarint shard | uvarint seq | offer bytes
 //
 // The offer bytes are the existing FXO1/FXO2 one-offer binary stream
-// (flexoffer.MarshalBinary) for add/replace records, and absent for
+// (flexoffer.AppendBinary) for add/replace records, and absent for
 // delete/reset — the WAL invents no second offer encoding, so any FXO
 // reader can open a log payload. The CRC is over the payload only: the
 // length field is validated implicitly by the CRC failing when a torn
 // write corrupts it, and explicitly by the sanity cap below.
+//
+// Both directions work in place on byte slices. appendRecord reserves
+// the 8-byte header, appends the payload — offer included — after it
+// and then fills in length and CRC, so an append batch or a snapshot is
+// one growing buffer. Replay frame-scans a whole file (scanFrames,
+// presized by a length-only pass) and decodeMutation decodes each body
+// with flexoffer's slice decoder: the offer, its ID (and zone) string
+// and its slices are a record's only allocations, and none of them
+// points into the file buffer.
 
 // Record framing errors.
 var (
@@ -43,27 +53,30 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord appends m as one framed record to dst.
+// appendRecord appends m as one framed record to dst. The payload is
+// encoded in place after a placeholder header, which is filled in once
+// the payload's length and CRC are known.
 func appendRecord(dst []byte, m shard.Mutation) ([]byte, error) {
-	var payload []byte
-	payload = append(payload, byte(m.Op))
-	payload = binary.AppendUvarint(payload, uint64(m.Shard))
-	payload = binary.AppendUvarint(payload, m.Seq)
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = append(dst, byte(m.Op))
+	dst = binary.AppendUvarint(dst, uint64(m.Shard))
+	dst = binary.AppendUvarint(dst, m.Seq)
 	switch m.Op {
 	case shard.OpAdd, shard.OpReplace:
-		body, err := m.Offer.MarshalBinary()
-		if err != nil {
+		var err error
+		if dst, err = m.Offer.AppendBinary(dst); err != nil {
 			return nil, err
 		}
-		payload = append(payload, body...)
 	case shard.OpDelete, shard.OpReset:
 		// No body.
 	default:
 		return nil, fmt.Errorf("persist: cannot encode op %s", m.Op)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...), nil
+	payload := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	return dst, nil
 }
 
 // rawRecord is a frame-scanned record whose offer body has not been
@@ -135,6 +148,7 @@ func decodeMutation(r rawRecord) (shard.Mutation, error) {
 //     data is bad. Nothing distinguishes this from lost writes, so the
 //     caller must fail loudly.
 func scanFrames(data []byte, recs []rawRecord) ([]rawRecord, int64, error) {
+	recs = slices.Grow(recs, countFrames(data))
 	off := 0
 	for off < len(data) {
 		if len(data)-off < frameHeaderLen {
@@ -169,4 +183,19 @@ func scanFrames(data []byte, recs []rawRecord) ([]rawRecord, int64, error) {
 		off = end
 	}
 	return recs, int64(off), nil
+}
+
+// countFrames counts the whole frames data's length fields chain
+// through, without checking CRCs — a cheap first pass that sizes
+// scanFrames' record slice.
+func countFrames(data []byte) int {
+	n := 0
+	for off := 0; len(data)-off >= frameHeaderLen; n++ {
+		length := int(binary.LittleEndian.Uint32(data[off:]))
+		if length > maxPayloadBytes || length > len(data)-off-frameHeaderLen {
+			break
+		}
+		off += frameHeaderLen + length
+	}
+	return n
 }

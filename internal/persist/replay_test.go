@@ -2,8 +2,6 @@ package persist
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -84,16 +82,10 @@ func TestWALParallelReplayMatchesSerial(t *testing.T) {
 // BenchmarkWALReplay times boot-time recovery of a 10k-offer,
 // multi-segment log, decoding serially and fanned out over a worker
 // pool. The log is written once, outside the timer, with fsync off.
-// Every open arms a fresh active segment, so each iteration deletes
-// the one it left behind to replay the same log as the first.
 func BenchmarkWALReplay(b *testing.B) {
 	dir := b.TempDir()
 	offers := fleet(b, 99, 10000)
 	r := writeReplayLog(b, dir, offers)
-	logged := map[string]bool{}
-	for _, name := range dirNames(b, dir) {
-		logged[name] = true
-	}
 	workers := pool.New(0)
 	defer workers.Close()
 	for _, c := range []struct {
@@ -116,13 +108,6 @@ func BenchmarkWALReplay(b *testing.B) {
 				b.StopTimer()
 				if err := w.Close(); err != nil {
 					b.Fatal(err)
-				}
-				for _, name := range dirNames(b, dir) {
-					if !logged[name] {
-						if err := os.Remove(filepath.Join(dir, name)); err != nil {
-							b.Fatal(err)
-						}
-					}
 				}
 				b.StartTimer()
 			}

@@ -1,11 +1,13 @@
 package persist
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strings"
 	"sync"
@@ -174,7 +176,9 @@ var ErrCorruptLog = errors.New("persist: corrupt WAL")
 var ErrDegraded = errors.New("persist: WAL degraded")
 
 // OpenWAL opens (or creates) the WAL in o.Dir, replays it into a fresh
-// store, repairs a torn tail, and arms a new active segment.
+// store and repairs a torn tail. The next log segment is created by the
+// first append, so a boot that appends nothing leaves no empty segment
+// behind for later boots to scan.
 func OpenWAL(o Options) (*WALStore, error) {
 	if o.Dir == "" {
 		return nil, errors.New("persist: Options.Dir is required")
@@ -196,9 +200,6 @@ func OpenWAL(o Options) (*WALStore, error) {
 	}
 	w := &WALStore{o: o, fs: o.FS, st: shard.NewStores(o.Router)}
 	if err := w.replay(); err != nil {
-		return nil, err
-	}
-	if err := w.openActiveLocked(); err != nil {
 		return nil, err
 	}
 	if o.Fsync == FsyncInterval {
@@ -235,13 +236,26 @@ func parseName(name string) (n uint64, kind byte, ok bool) {
 	return n, kind, true
 }
 
+// readFile reads a whole segment or snapshot into one buffer sized from
+// the file's length (when the FS's reader reports it), so a large
+// snapshot is read without repeated doubling.
 func (w *WALStore) readFile(name string) ([]byte, error) {
 	f, err := w.fs.Open(join(w.o.Dir, name))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	var buf bytes.Buffer
+	if st, ok := f.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if info, err := st.Stat(); err == nil {
+			// MinRead of headroom lets ReadFrom see io.EOF without growing.
+			buf.Grow(int(info.Size()) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // replay rebuilds the store from disk: newest snapshot first, then
@@ -301,6 +315,7 @@ func (w *WALStore) replay() error {
 	if err != nil {
 		return err
 	}
+	w.reserve(recs)
 	if err := w.st.Apply(muts); err != nil {
 		return fmt.Errorf("%w: replay rejected: %v", ErrCorruptLog, err)
 	}
@@ -338,6 +353,7 @@ func (w *WALStore) replaySnapshot(name string) error {
 	if err != nil {
 		return err
 	}
+	w.reserve(recs)
 	if err := w.st.Apply(muts); err != nil {
 		return fmt.Errorf("%w: snapshot %s rejected: %v", ErrCorruptLog, name, err)
 	}
@@ -407,7 +423,21 @@ func (w *WALStore) decodeAll(recs []rawRecord) ([]shard.Mutation, error) {
 	return muts, nil
 }
 
+// reserve sizes the store's shard slices and ID index for the add
+// records about to be applied.
+func (w *WALStore) reserve(recs []rawRecord) {
+	adds := make([]int, w.st.Shards())
+	for _, r := range recs {
+		if r.op == shard.OpAdd && r.shardIndex >= 0 && r.shardIndex < len(adds) {
+			adds[r.shardIndex]++
+		}
+	}
+	w.st.Reserve(adds)
+}
+
 // openActiveLocked creates the next log segment and stamps its header.
+// appendLocked calls it when no segment is active: after boot, after a
+// rotation and after a snapshot.
 func (w *WALStore) openActiveLocked() error {
 	name := segName(w.nextSeg)
 	w.nextSeg++
@@ -437,7 +467,7 @@ func (w *WALStore) closeActiveLocked() error {
 		}
 	}
 	err := w.active.Close()
-	w.active = nil
+	w.active, w.activeSize = nil, 0
 	if err != nil {
 		return w.fail(fmt.Errorf("persist: closing %s: %w", w.activeName, err))
 	}
@@ -497,6 +527,11 @@ func (w *WALStore) appendLocked(ctx context.Context, muts []shard.Mutation) erro
 	for _, m := range muts {
 		if buf, err = appendRecord(buf, m); err != nil {
 			return w.fail(err)
+		}
+	}
+	if w.active == nil {
+		if err := w.openActiveLocked(); err != nil {
+			return err
 		}
 	}
 	if _, err := w.active.Write(buf); err != nil {
@@ -591,8 +626,8 @@ func (w *WALStore) Reset(ctx context.Context) error {
 	return nil
 }
 
-// maybeRollLocked rotates an oversized active segment and triggers the
-// periodic snapshot.
+// maybeRollLocked seals an oversized active segment (the next append
+// opens its successor) and triggers the periodic snapshot.
 func (w *WALStore) maybeRollLocked() {
 	if w.o.SnapshotEvery > 0 && w.sinceSnap >= w.o.SnapshotEvery && !w.snapBusy {
 		w.sinceSnap = 0
@@ -600,18 +635,16 @@ func (w *WALStore) maybeRollLocked() {
 		return
 	}
 	if w.activeSize >= w.o.SegmentBytes {
-		if err := w.closeActiveLocked(); err != nil {
-			return
-		}
-		_ = w.openActiveLocked()
+		_ = w.closeActiveLocked()
 	}
 }
 
-// snapshotLocked captures the current state, rotates the log so the
-// snapshot's number sits after every record it covers, and writes the
-// snapshot — synchronously or in the background. The captured parts
-// are copy-on-write snapshots, so the background writer needs no
-// further coordination with ingest.
+// snapshotLocked captures the current state, seals the log and takes
+// the next segment number for the snapshot — so it sits after every
+// record it covers and before the segment the next append opens — and
+// writes the snapshot, synchronously or in the background. The
+// captured parts are copy-on-write snapshots, so the background writer
+// needs no further coordination with ingest.
 func (w *WALStore) snapshotLocked(sync bool) error {
 	parts := w.st.Snapshot()
 	seq := w.st.Seq()
@@ -620,9 +653,6 @@ func (w *WALStore) snapshotLocked(sync bool) error {
 	}
 	num := w.nextSeg
 	w.nextSeg++
-	if err := w.openActiveLocked(); err != nil {
-		return err
-	}
 	if sync {
 		return w.writeSnapshot(num, parts, seq)
 	}
@@ -638,6 +668,9 @@ func (w *WALStore) snapshotLocked(sync bool) error {
 	return nil
 }
 
+// snapshotBufBytes is the size of the snapshot writer's writes.
+const snapshotBufBytes = 1 << 20
+
 // writeSnapshot persists parts + seq as snapshot num (tmp, sync,
 // rename) and then compacts every older segment away. Only the rename
 // publishes the snapshot, so a crash anywhere before it leaves the
@@ -651,31 +684,8 @@ func (w *WALStore) writeSnapshot(num uint64, parts [][]shard.Entry, seq uint64) 
 			return err
 		}
 		defer f.Close()
-		hdr := append([]byte(walMagic), kindSnapshot)
-		hdr = binary.AppendUvarint(hdr, seq)
-		if _, err := f.Write(hdr); err != nil {
+		if err := encodeSnapshot(f, parts, seq); err != nil {
 			return err
-		}
-		// Records go out in global sequence order — the order a single
-		// unsharded store ingested them — because that is the only order
-		// Apply accepts, and it makes the snapshot a canonical replay
-		// stream rather than a dump of internal layout.
-		muts := make([]shard.Mutation, 0)
-		for shardIndex, entries := range parts {
-			for _, e := range entries {
-				muts = append(muts, shard.Mutation{Op: shard.OpAdd, Shard: shardIndex, Seq: e.Seq, Offer: e.Offer})
-			}
-		}
-		sort.Slice(muts, func(i, j int) bool { return muts[i].Seq < muts[j].Seq })
-		var buf []byte
-		for _, m := range muts {
-			buf, err = appendRecord(buf[:0], m)
-			if err != nil {
-				return err
-			}
-			if _, err := f.Write(buf); err != nil {
-				return err
-			}
 		}
 		return w.timedSync(f)
 	}()
@@ -688,6 +698,49 @@ func (w *WALStore) writeSnapshot(num uint64, parts [][]shard.Entry, seq uint64) 
 	}
 	w.compact(num)
 	return nil
+}
+
+// encodeSnapshot writes a snapshot segment — header, sequence counter,
+// then one add record per entry — to f in writes of about
+// snapshotBufBytes. Records go out in global sequence order — the order
+// a single unsharded store ingested them — because that is the only
+// order Apply accepts, and it makes the snapshot a canonical replay
+// stream rather than a dump of internal layout. Each shard's entries
+// are already Seq-sorted (Apply enforces it), so the shards are merged
+// rather than sorted.
+func encodeSnapshot(f io.Writer, parts [][]shard.Entry, seq uint64) error {
+	buf := make([]byte, 0, snapshotBufBytes+snapshotBufBytes/16)
+	buf = append(append(buf, walMagic...), kindSnapshot)
+	buf = binary.AppendUvarint(buf, seq)
+	heads := make([]int, len(parts))
+	for {
+		next := -1
+		for i, entries := range parts {
+			if heads[i] < len(entries) && (next < 0 || entries[heads[i]].Seq < parts[next][heads[next]].Seq) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break
+		}
+		e := parts[next][heads[next]]
+		heads[next]++
+		var err error
+		if buf, err = appendRecord(buf, shard.Mutation{Op: shard.OpAdd, Shard: next, Seq: e.Seq, Offer: e.Offer}); err != nil {
+			return err
+		}
+		if len(buf) >= snapshotBufBytes {
+			if _, err := f.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := f.Write(buf)
+	return err
 }
 
 // compact removes every segment and snapshot numbered below upto —

@@ -120,7 +120,10 @@ func dirNames(t testing.TB, dir string) []string {
 func TestWALRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	r := shard.Router{Shards: 3}
-	o := Options{Dir: dir, Router: r, SegmentBytes: 1, SnapshotEvery: 20, SyncSnapshots: true}
+	// 90 offers in batches of 7 snapshot after 35 and 70 records,
+	// leaving three batches — three one-batch segments — after the last
+	// snapshot.
+	o := Options{Dir: dir, Router: r, SegmentBytes: 1, SnapshotEvery: 30, SyncSnapshots: true}
 	w := openTestWAL(t, o)
 	mem := NewMemory(r)
 	for _, b := range batches(fleet(t, 2, 90), 7) {
@@ -153,8 +156,13 @@ func TestWALRotationAndCompaction(t *testing.T) {
 			t.Fatalf("segment %d survived compaction below snapshot %d", n, snaps[0])
 		}
 	}
-	if len(logs) < 2 {
-		t.Fatalf("SegmentBytes=1 produced only %d segments", len(logs))
+	if len(logs) != 3 {
+		t.Fatalf("SegmentBytes=1 left %d segments after the last snapshot, want 3 (%v)", len(logs), dirNames(t, dir))
+	}
+	for _, n := range logs {
+		if info, err := os.Stat(filepath.Join(dir, segName(n))); err != nil || info.Size() <= logHeaderLen {
+			t.Fatalf("segment %d holds no records (%v, %v)", n, info, err)
+		}
 	}
 
 	re := openTestWAL(t, o)

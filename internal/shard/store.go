@@ -362,6 +362,32 @@ func insertionPoint(entries []Entry, seq uint64) int {
 	return findSeq(entries, seq)
 }
 
+// Reserve makes room for adds[i] more entries on shard i and for their
+// IDs in the index, so a replay that knows how many add records it is
+// about to apply fills exactly sized slices instead of regrowing them.
+// A shard whose capacity falls short is copied into a fresh array, so
+// previously returned snapshots stay untouched. adds shorter than the
+// shard count reserves nothing on the missing shards.
+func (s *Stores) Reserve(adds []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	total := 0
+	for i, n := range adds {
+		if i >= len(s.shards) || n <= 0 {
+			continue
+		}
+		total += n
+		if sh := s.shards[i]; cap(sh)-len(sh) < n {
+			grown := make([]Entry, len(sh), len(sh)+n)
+			copy(grown, sh)
+			s.shards[i] = grown
+		}
+	}
+	if len(s.index) == 0 && total > 0 {
+		s.index = make(map[string]loc, total)
+	}
+}
+
 // Snapshot returns the per-shard entry lists. The inner slices are
 // immutable (copy-on-write; see Apply) and each is in ascending Seq
 // order; the outer slice is a fresh copy the caller may keep.
