@@ -57,6 +57,10 @@ type Engine struct {
 	// cache swap must be atomic with it.
 	incOnce  sync.Once
 	incState *inc.State
+	// order is the incremental grouping order: the last incremental
+	// Pipeline call's parts and merged sort, so the next call re-sorts
+	// only the entries that changed (see scatterSort).
+	order orderCache
 }
 
 // ShardedEngine is another name for Engine, whose shard count is set by
@@ -182,6 +186,16 @@ func WithPeakCap(cap int64) Option {
 // serialize on the engine's cache; the stateless stages still fan out
 // across the worker pools. Only OrderArrival placement is supported,
 // exactly like the streaming pipeline.
+//
+// With the built-in grouping, incremental calls also carry the grouping
+// order across calls: a call diffs each part against the previous
+// call's by sequence number and offer pointer, sorts only the entries
+// that changed and merges them into the previous merged order, so its
+// sort costs O(changed offers) too. Both caches rely on the store's
+// contract: an offer handed to the engine is never modified afterwards
+// (a change is a new offer), and a part slice is never rewritten at a
+// position a call has seen — exactly what shard.Stores snapshots and
+// Partition guarantee.
 func WithIncremental(on bool) Option {
 	return func(o *engineOptions) { o.incremental = on }
 }
@@ -378,7 +392,7 @@ func (e *Engine) AggregateRouted(ctx context.Context, parts [][]RoutedOffer, opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	groups, err := e.scatterGroup(ctx, parts, o)
+	groups, err := e.scatterGroup(ctx, parts, o, false)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +505,7 @@ func (e *Engine) PipelineRouted(ctx context.Context, parts [][]RoutedOffer, targ
 	// scheduling or disaggregation aborts early.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	groups, err := e.scatterGroup(ctx, parts, o)
+	groups, err := e.scatterGroup(ctx, parts, o, o.incremental)
 	if err != nil {
 		return nil, err
 	}
@@ -543,12 +557,26 @@ func (e *Engine) IncrementalStats() inc.Stats {
 	return e.incrementalState().Stats()
 }
 
-// InvalidateIncremental drops the incremental-scheduling cache — the
-// hook the server's store reset calls. The next incremental Pipeline
-// call runs full and rebuilds it. Never needed for correctness (the
-// cache is content-addressed), only to release memory promptly.
+// InvalidateIncremental drops the incremental-scheduling cache and the
+// cached grouping order — the hook the server's store reset calls. The
+// next incremental Pipeline call runs full and rebuilds both. Never
+// needed for correctness (both are content-addressed), only to release
+// memory promptly.
 func (e *Engine) InvalidateIncremental() {
 	e.incrementalState().Invalidate()
+	e.order.store(orderState{}, 0)
+}
+
+// OrderDelta reports how many entries the last incremental Pipeline
+// call re-sorted to update the cached grouping order: the entries
+// removed since the call before plus those added (every entry on a
+// cold call). It is 0 before the first incremental call and after
+// InvalidateIncremental — the number behind flexd's
+// flexd_sched_order_delta.
+func (e *Engine) OrderDelta() int {
+	e.order.mu.Lock()
+	defer e.order.mu.Unlock()
+	return e.order.delta
 }
 
 // pipelineIncremental is the stateful cached pipeline behind

@@ -42,12 +42,45 @@ type Aggregated struct {
 	// Offer is the aggregate flex-offer. Its ID is "agg(n)" for n
 	// constituents unless renamed by the caller.
 	Offer *flexoffer.FlexOffer
-	// Constituents are the original flex-offers, in input order.
+	// Constituents are the caller's flex-offers, in input order: a
+	// fresh copy of the group's pointer slice, never a view of it, so
+	// an aggregate kept across calls pins only its own offers. The
+	// offers themselves are not copied (and, for a safe aggregate, not
+	// tightened); treat them as immutable.
 	Constituents []*flexoffer.FlexOffer
-	// anchors[i] is constituent i's start time when the aggregate is
-	// scheduled at its earliest start (δ = 0); the common shift δ adds
-	// to every anchor.
-	anchors []int
+	// cons[i] is constituent i's layout in bounds; bounds holds every
+	// constituent's slice bounds back to back — tightened for a safe
+	// aggregate. Both are pointer-free, so the collector never scans
+	// them, and disaggregation reads only them, never Constituents.
+	cons   []constituent
+	bounds []flexoffer.Slice
+	// align and minTF fix every constituent's δ=0 start (anchor).
+	align Alignment
+	minTF int
+}
+
+// constituent is one constituent's disaggregation layout: its start
+// window and totals, and the span bounds[lo:lo+n] of its slice bounds.
+// A disaggregated assignment's Values occupy the same span of one value
+// slab. The span fields are int32 — no group's slices could fill
+// memory past that — which keeps the layout at 40 bytes per
+// constituent, the bulk of what a cached aggregate holds.
+type constituent struct {
+	est, lst           int
+	totalMin, totalMax int64
+	lo, n              int32
+}
+
+// span returns the constituent's bounds span [lo, hi).
+func (c *constituent) span() (lo, hi int) { return int(c.lo), int(c.lo) + int(c.n) }
+
+// anchor returns the constituent's start when the aggregate is
+// scheduled at its earliest start (δ = 0).
+func (ag *Aggregated) anchor(c *constituent) int {
+	if ag.align == AlignLatest {
+		return c.lst - ag.minTF
+	}
+	return c.est
 }
 
 // Alignment selects how constituents are anchored relative to each
@@ -87,12 +120,13 @@ func Aggregate(group []*flexoffer.FlexOffer) (*Aggregated, error) {
 }
 
 // AggregateAligned combines the group under the chosen alignment. The
-// Constituents are copies of the group (flexoffer.CloneAll).
+// Constituents are a copy of the group's pointer slice; the offers
+// themselves are not copied.
 func AggregateAligned(group []*flexoffer.FlexOffer, al Alignment) (*Aggregated, error) {
 	if err := validateGroup(group); err != nil {
 		return nil, err
 	}
-	return aggregateOwned(flexoffer.CloneAll(group), al)
+	return build(group, al, false)
 }
 
 // validateGroup checks that the group is non-empty and that every
@@ -109,47 +143,38 @@ func validateGroup(group []*flexoffer.FlexOffer) error {
 	return nil
 }
 
-// aggregateOwned combines a validated, non-empty group under al. The
-// group becomes the aggregate's Constituents as is, so the caller
-// hands over copies it owns.
-func aggregateOwned(group []*flexoffer.FlexOffer, al Alignment) (*Aggregated, error) {
-	minTF := group[0].TimeFlexibility()
-	for _, f := range group[1:] {
-		if tf := f.TimeFlexibility(); tf < minTF {
-			minTF = tf
-		}
+// build combines a non-empty group of non-nil offers under al, laying
+// their bounds out with layoutOf (tightened when tighten is set).
+func build(group []*flexoffer.FlexOffer, al Alignment, tighten bool) (*Aggregated, error) {
+	cons, bounds, err := layoutOf(group, tighten)
+	if err != nil {
+		return nil, err
 	}
-	anchors := make([]int, len(group))
-	for i, f := range group {
-		switch al {
-		case AlignLatest:
-			anchors[i] = f.LatestStart - minTF
-		case AlignEarliest:
-			anchors[i] = f.EarliestStart
-		default:
-			return nil, fmt.Errorf("aggregate: unknown alignment %d", int(al))
-		}
+	minTF := cons[0].lst - cons[0].est
+	for i := range cons[1:] {
+		minTF = min(minTF, cons[i+1].lst-cons[i+1].est)
 	}
-	base := anchors[0]
-	end := anchors[0] + group[0].NumSlices()
-	for i, f := range group {
-		if anchors[i] < base {
-			base = anchors[i]
-		}
-		if e := anchors[i] + f.NumSlices(); e > end {
-			end = e
-		}
+	if al != AlignEarliest && al != AlignLatest {
+		return nil, fmt.Errorf("aggregate: unknown alignment %d", int(al))
+	}
+	ag := &Aggregated{cons: cons, bounds: bounds, align: al, minTF: minTF}
+	base, end := ag.anchor(&cons[0]), ag.anchor(&cons[0])+int(cons[0].n)
+	for i := range cons {
+		base = min(base, ag.anchor(&cons[i]))
+		end = max(end, ag.anchor(&cons[i])+int(cons[i].n))
 	}
 	slices := make([]flexoffer.Slice, end-base)
 	var totalMin, totalMax int64
-	for gi, f := range group {
-		for i, s := range f.Slices {
-			j := anchors[gi] - base + i
-			slices[j].Min += s.Min
-			slices[j].Max += s.Max
+	for i := range cons {
+		c := &cons[i]
+		sum := slices[ag.anchor(c)-base:]
+		lo, hi := c.span()
+		for j, s := range bounds[lo:hi] {
+			sum[j].Min += s.Min
+			sum[j].Max += s.Max
 		}
-		totalMin += f.TotalMin
-		totalMax += f.TotalMax
+		totalMin += c.totalMin
+		totalMax += c.totalMax
 	}
 	agg := &flexoffer.FlexOffer{
 		EarliestStart: base,
@@ -162,7 +187,53 @@ func aggregateOwned(group []*flexoffer.FlexOffer, al Alignment) (*Aggregated, er
 		return nil, fmt.Errorf("aggregate: building aggregate: %w", err)
 	}
 	agg.ID = fmt.Sprintf("agg(%d)", len(group))
-	return &Aggregated{Offer: agg, Constituents: group, anchors: anchors}, nil
+	ag.Offer = agg
+	ag.Constituents = make([]*flexoffer.FlexOffer, len(group))
+	copy(ag.Constituents, group)
+	return ag, nil
+}
+
+// layoutOf copies every offer's slice bounds into one slab and
+// records each offer's layout. With
+// tighten set it narrows each copy to the offer's totals
+// (flexoffer.TightenSlices) and validates the narrowed offer, exactly
+// as validating a flexoffer.TightenTotals copy would.
+func layoutOf(group []*flexoffer.FlexOffer, tighten bool) ([]constituent, []flexoffer.Slice, error) {
+	n := 0
+	for _, f := range group {
+		n += len(f.Slices)
+	}
+	cons := make([]constituent, len(group))
+	bounds := make([]flexoffer.Slice, n)
+	lo := 0
+	for i, f := range group {
+		hi := lo + copy(bounds[lo:], f.Slices)
+		if tighten {
+			b := bounds[lo:hi:hi]
+			flexoffer.TightenSlices(b, f.TotalMin, f.TotalMax)
+			view := flexoffer.FlexOffer{EarliestStart: f.EarliestStart, LatestStart: f.LatestStart,
+				Slices: b, TotalMin: f.TotalMin, TotalMax: f.TotalMax}
+			if err := view.Validate(); err != nil {
+				return nil, nil, fmt.Errorf("aggregate: constituent %d: %w", i, err)
+			}
+		}
+		cons[i] = constituent{est: f.EarliestStart, lst: f.LatestStart,
+			totalMin: f.TotalMin, totalMax: f.TotalMax, lo: int32(lo), n: int32(hi - lo)}
+		lo = hi
+	}
+	return cons, bounds, nil
+}
+
+// layout returns the aggregate's constituent layout and bounds slab.
+// An Aggregated built by a caller without them (the zero value plus
+// Offer and Constituents) gets them derived from its Constituents,
+// untightened and anchored at their earliest starts.
+func (ag *Aggregated) layout() ([]constituent, []flexoffer.Slice) {
+	if ag.cons == nil {
+		cons, bounds, _ := layoutOf(ag.Constituents, false)
+		return cons, bounds
+	}
+	return ag.cons, ag.bounds
 }
 
 // Disaggregate maps a valid assignment of the aggregate flex-offer back
@@ -177,51 +248,46 @@ func aggregateOwned(group []*flexoffer.FlexOffer, al Alignment) (*Aggregated, er
 // constituents sharing a slot until every constituent's total constraint
 // holds. Repair failure (possible only for adversarial total constraints
 // needing multi-hop transfers) is reported as ErrRepairInfeasible.
+//
+// It reads the aggregate's own bounds slab only — the bounds a safe
+// aggregate tightened — never the constituent offers.
 func (ag *Aggregated) Disaggregate(a flexoffer.Assignment) ([]flexoffer.Assignment, error) {
 	if err := ag.Offer.ValidateAssignment(a); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotConstituent, err)
 	}
+	cons, bounds := ag.layout()
 	delta := a.Start - ag.Offer.EarliestStart
-	// Every constituent's Values is a capacity-capped view of one slab.
-	n := 0
-	for _, f := range ag.Constituents {
-		n += f.NumSlices()
-	}
-	slab := make([]int64, n)
-	out := make([]flexoffer.Assignment, len(ag.Constituents))
-	for i, f := range ag.Constituents {
-		k := f.NumSlices()
-		out[i] = flexoffer.Assignment{Start: ag.anchor(i) + delta, Values: slab[:k:k]}
-		slab = slab[k:]
+	// One slab holds every constituent's Values, each a capacity-capped
+	// view at its bounds span. The running totals are scratch of their
+	// own: the slab outlives the call for as long as the assignments do.
+	sp := split{cons: cons, bounds: bounds, vals: make([]int64, len(bounds)),
+		totals: make([]int64, len(cons)), out: make([]flexoffer.Assignment, len(cons))}
+	for i := range cons {
+		lo, hi := cons[i].span()
+		sp.out[i] = flexoffer.Assignment{Start: ag.anchor(&cons[i]) + delta, Values: sp.vals[lo:hi:hi]}
 	}
 	// Per-slot distribution: minima first, then water-fill the surplus
-	// left to right.
-	type part struct {
-		offer int
-		slice int
-	}
-	parts := make([]part, 0, len(ag.Constituents))
-	for slot := 0; slot < len(a.Values); slot++ {
+	// left to right. parts holds the slab positions sharing the slot.
+	parts := make([]int, 0, len(cons))
+	for slot, v := range a.Values {
 		abs := a.Start + slot
-		remaining := a.Values[slot]
+		remaining := v
 		parts = parts[:0]
-		for i, f := range ag.Constituents {
-			j := abs - out[i].Start
-			if j >= 0 && j < f.NumSlices() {
-				parts = append(parts, part{offer: i, slice: j})
-				out[i].Values[j] = f.Slices[j].Min
-				remaining -= f.Slices[j].Min
+		for i := range cons {
+			c := &cons[i]
+			if j := abs - sp.out[i].Start; j >= 0 && j < int(c.n) {
+				p := int(c.lo) + j
+				parts = append(parts, p)
+				sp.vals[p] = bounds[p].Min
+				remaining -= bounds[p].Min
 			}
 		}
 		for _, p := range parts {
 			if remaining <= 0 {
 				break
 			}
-			room := ag.Constituents[p.offer].Slices[p.slice].Max - out[p.offer].Values[p.slice]
-			if room > remaining {
-				room = remaining
-			}
-			out[p.offer].Values[p.slice] += room
+			room := min(bounds[p].Max-sp.vals[p], remaining)
+			sp.vals[p] += room
 			remaining -= room
 		}
 		if remaining != 0 {
@@ -230,15 +296,54 @@ func (ag *Aggregated) Disaggregate(a flexoffer.Assignment) ([]flexoffer.Assignme
 			return nil, fmt.Errorf("aggregate: internal error: %d units undistributed at slot %d", remaining, abs)
 		}
 	}
-	if err := ag.repairTotals(out); err != nil {
+	for i := range cons {
+		lo, hi := cons[i].span()
+		for _, v := range sp.vals[lo:hi] {
+			sp.totals[i] += v
+		}
+	}
+	if err := sp.repairTotals(); err != nil {
 		return nil, err
 	}
-	for i, f := range ag.Constituents {
-		if err := f.ValidateAssignment(out[i]); err != nil {
+	for i := range cons {
+		c := &cons[i]
+		lo, hi := c.span()
+		view := flexoffer.FlexOffer{EarliestStart: c.est, LatestStart: c.lst,
+			Slices: bounds[lo:hi], TotalMin: c.totalMin, TotalMax: c.totalMax}
+		if err := view.ValidateAssignment(sp.out[i]); err != nil {
 			return nil, fmt.Errorf("aggregate: disaggregated assignment %d invalid: %w", i, err)
 		}
 	}
-	return out, nil
+	return sp.out, nil
+}
+
+// split is one disaggregation in progress: the aggregate's layout and
+// bounds, the constituent assignments being built, their values as one
+// flat slab (constituent i's slice j at cons[i].lo+j, the same position
+// as its bounds) and every constituent's running total.
+type split struct {
+	cons   []constituent
+	bounds []flexoffer.Slice
+	vals   []int64
+	totals []int64
+	out    []flexoffer.Assignment
+}
+
+// at returns the slab position of constituent k's value at absolute
+// slot abs, and whether k's profile covers abs.
+func (sp *split) at(k, abs int) (int, bool) {
+	c := &sp.cons[k]
+	j := abs - sp.out[k].Start
+	return int(c.lo) + j, j >= 0 && j < int(c.n)
+}
+
+// move shifts amt units at one slot from constituent loser (slab
+// position q) to constituent gainer (slab position p).
+func (sp *split) move(gainer, p, loser, q int, amt int64) {
+	sp.vals[p] += amt
+	sp.totals[gainer] += amt
+	sp.vals[q] -= amt
+	sp.totals[loser] -= amt
 }
 
 // repairTotals moves energy between constituents sharing a time slot
@@ -248,28 +353,20 @@ func (ag *Aggregated) Disaggregate(a flexoffer.Assignment) ([]flexoffer.Assignme
 // (repair.go), which find a redistribution whenever one exists, so
 // ErrRepairInfeasible is returned only for genuinely undecomposable
 // aggregate assignments.
-func (ag *Aggregated) repairTotals(out []flexoffer.Assignment) error {
-	for pass := 0; pass < len(ag.Constituents)+1; pass++ {
+func (sp *split) repairTotals() error {
+	for pass := 0; pass < len(sp.cons)+1; pass++ {
 		moved := false
-		for i, f := range ag.Constituents {
-			need := f.TotalMin - out[i].TotalEnergy()
-			if need <= 0 {
-				continue
-			}
-			if ag.transferInto(out, i, need) {
+		for i := range sp.cons {
+			if need := sp.cons[i].totalMin - sp.totals[i]; need > 0 && sp.transferInto(i, need) {
 				moved = true
 			}
 		}
-		for i, f := range ag.Constituents {
-			excess := out[i].TotalEnergy() - f.TotalMax
-			if excess <= 0 {
-				continue
-			}
-			if ag.transferOutOf(out, i, excess) {
+		for i := range sp.cons {
+			if excess := sp.totals[i] - sp.cons[i].totalMax; excess > 0 && sp.transferOutOf(i, excess) {
 				moved = true
 			}
 		}
-		if ag.totalsSatisfied(out) {
+		if sp.totalsSatisfied() {
 			return nil
 		}
 		if !moved {
@@ -277,26 +374,25 @@ func (ag *Aggregated) repairTotals(out []flexoffer.Assignment) error {
 		}
 	}
 	// Multi-hop phase: chain transfers through intermediaries.
-	for i, f := range ag.Constituents {
-		if need := f.TotalMin - out[i].TotalEnergy(); need > 0 {
-			ag.augmentInto(out, i, need)
+	for i := range sp.cons {
+		if need := sp.cons[i].totalMin - sp.totals[i]; need > 0 {
+			sp.augmentInto(i, need)
 		}
 	}
-	for i, f := range ag.Constituents {
-		if excess := out[i].TotalEnergy() - f.TotalMax; excess > 0 {
-			ag.augmentOutOf(out, i, excess)
+	for i := range sp.cons {
+		if excess := sp.totals[i] - sp.cons[i].totalMax; excess > 0 {
+			sp.augmentOutOf(i, excess)
 		}
 	}
-	if ag.totalsSatisfied(out) {
+	if sp.totalsSatisfied() {
 		return nil
 	}
 	return ErrRepairInfeasible
 }
 
-func (ag *Aggregated) totalsSatisfied(out []flexoffer.Assignment) bool {
-	for i, f := range ag.Constituents {
-		tot := out[i].TotalEnergy()
-		if tot < f.TotalMin || tot > f.TotalMax {
+func (sp *split) totalsSatisfied() bool {
+	for i := range sp.cons {
+		if tot := sp.totals[i]; tot < sp.cons[i].totalMin || tot > sp.cons[i].totalMax {
 			return false
 		}
 	}
@@ -306,31 +402,31 @@ func (ag *Aggregated) totalsSatisfied(out []flexoffer.Assignment) bool {
 // transferInto raises constituent i's total by up to need, taking energy
 // from co-resident constituents that can spare it (staying above their
 // own cmin and slice minima). Reports whether any energy moved.
-func (ag *Aggregated) transferInto(out []flexoffer.Assignment, i int, need int64) bool {
-	f := ag.Constituents[i]
+func (sp *split) transferInto(i int, need int64) bool {
+	c := &sp.cons[i]
 	moved := false
-	for j := 0; j < f.NumSlices() && need > 0; j++ {
-		abs := out[i].Start + j
-		room := f.Slices[j].Max - out[i].Values[j]
+	for j := 0; j < int(c.n) && need > 0; j++ {
+		abs := sp.out[i].Start + j
+		p := int(c.lo) + j
+		room := sp.bounds[p].Max - sp.vals[p]
 		if room <= 0 {
 			continue
 		}
-		for k, g := range ag.Constituents {
+		for k := range sp.cons {
 			if k == i || need <= 0 || room <= 0 {
 				continue
 			}
-			jk := abs - out[k].Start
-			if jk < 0 || jk >= g.NumSlices() {
+			q, ok := sp.at(k, abs)
+			if !ok {
 				continue
 			}
-			spareSlot := out[k].Values[jk] - g.Slices[jk].Min
-			spareTotal := out[k].TotalEnergy() - g.TotalMin
+			spareSlot := sp.vals[q] - sp.bounds[q].Min
+			spareTotal := sp.totals[k] - sp.cons[k].totalMin
 			amt := min(spareSlot, spareTotal, room, need)
 			if amt <= 0 {
 				continue
 			}
-			out[k].Values[jk] -= amt
-			out[i].Values[j] += amt
+			sp.move(i, p, k, q, amt)
 			need -= amt
 			room -= amt
 			moved = true
@@ -342,31 +438,31 @@ func (ag *Aggregated) transferInto(out []flexoffer.Assignment, i int, need int64
 // transferOutOf lowers constituent i's total by up to excess, pushing
 // energy to co-resident constituents with headroom (staying below their
 // own cmax and slice maxima). Reports whether any energy moved.
-func (ag *Aggregated) transferOutOf(out []flexoffer.Assignment, i int, excess int64) bool {
-	f := ag.Constituents[i]
+func (sp *split) transferOutOf(i int, excess int64) bool {
+	c := &sp.cons[i]
 	moved := false
-	for j := 0; j < f.NumSlices() && excess > 0; j++ {
-		abs := out[i].Start + j
-		spare := out[i].Values[j] - f.Slices[j].Min
+	for j := 0; j < int(c.n) && excess > 0; j++ {
+		abs := sp.out[i].Start + j
+		p := int(c.lo) + j
+		spare := sp.vals[p] - sp.bounds[p].Min
 		if spare <= 0 {
 			continue
 		}
-		for k, g := range ag.Constituents {
+		for k := range sp.cons {
 			if k == i || excess <= 0 || spare <= 0 {
 				continue
 			}
-			jk := abs - out[k].Start
-			if jk < 0 || jk >= g.NumSlices() {
+			q, ok := sp.at(k, abs)
+			if !ok {
 				continue
 			}
-			roomSlot := g.Slices[jk].Max - out[k].Values[jk]
-			roomTotal := g.TotalMax - out[k].TotalEnergy()
+			roomSlot := sp.bounds[q].Max - sp.vals[q]
+			roomTotal := sp.cons[k].totalMax - sp.totals[k]
 			amt := min(roomSlot, roomTotal, spare, excess)
 			if amt <= 0 {
 				continue
 			}
-			out[i].Values[j] -= amt
-			out[k].Values[jk] += amt
+			sp.move(k, q, i, p, amt)
 			excess -= amt
 			spare -= amt
 			moved = true
@@ -380,6 +476,8 @@ func (ag *Aggregated) transferOutOf(out []flexoffer.Assignment, i int, excess in
 // (Scenario 1: "it is essential to quantify and then to minimize
 // flexibility losses, and therefore a flexibility measure is needed").
 // Positive values mean the aggregate is less flexible than the parts.
+// A safe aggregate's constituents are the original, untightened
+// offers, so its loss includes the flexibility tightening gave up.
 func (ag *Aggregated) Loss(m core.Measure) (float64, error) {
 	before, err := m.SetValue(ag.Constituents)
 	if err != nil {
@@ -412,21 +510,23 @@ type GroupParams = grouping.Params
 // and AggregateSafe when arbitrary valid assignments must disaggregate
 // (e.g. the aggregate is sold into a market, Scenario 2).
 //
-// The returned Aggregated's Constituents hold the *tightened* offers,
-// copied once (flexoffer.TightenTotalsAll); any assignment valid for a
-// tightened constituent is valid for the original it was derived from
-// (tightened ranges are subsets).
+// The tightened bounds live in the aggregate's own bounds slab, the
+// one Disaggregate reads; the returned Aggregated's Constituents are the
+// caller's offers, untightened and uncopied. Loss and RetainedFraction
+// therefore measure a safe aggregate against the original offers, so
+// the flexibility tightening gave up counts as aggregation loss. Any
+// assignment valid for a tightened constituent is valid for the
+// original it was derived from (tightened ranges are subsets).
 func AggregateSafe(group []*flexoffer.FlexOffer) (*Aggregated, error) {
 	for i, f := range group {
 		if f == nil {
 			return nil, fmt.Errorf("aggregate: constituent %d: %w", i, flexoffer.ErrNilOffer)
 		}
 	}
-	tightened := flexoffer.TightenTotalsAll(group)
-	if err := validateGroup(tightened); err != nil {
-		return nil, err
+	if len(group) == 0 {
+		return nil, ErrEmptyGroup
 	}
-	return aggregateOwned(tightened, AlignEarliest)
+	return build(group, AlignEarliest, true)
 }
 
 // AggregateAll groups the offers with p and aggregates every group,
@@ -455,14 +555,4 @@ func aggregateGroups(groups [][]*flexoffer.FlexOffer, agg func([]*flexoffer.Flex
 		out = append(out, ag)
 	}
 	return out, nil
-}
-
-// anchor returns constituent i's δ=0 start time. Aggregated values built
-// by callers without anchors (zero value) fall back to earliest-start
-// alignment.
-func (ag *Aggregated) anchor(i int) int {
-	if ag.anchors == nil {
-		return ag.Constituents[i].EarliestStart
-	}
-	return ag.anchors[i]
 }

@@ -31,7 +31,9 @@ func Optimizer(p grouping.OptimizeParams) grouping.Optimize {
 // RetainedFraction reports how much of the group set's flexibility the
 // aggregates keep under measure m: Σ value(aggregate) / setValue(all
 // constituents). 1 means lossless; the Scenario 1 goal is to stay close
-// to 1 with far fewer objects.
+// to 1 with far fewer objects. Constituents are the original offers —
+// untightened for safe aggregates — so plain and safe aggregation are
+// measured against the same baseline.
 func RetainedFraction(ags []*Aggregated, m core.Measure) (float64, error) {
 	var all []*flexoffer.FlexOffer
 	var after float64

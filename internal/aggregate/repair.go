@@ -1,9 +1,5 @@
 package aggregate
 
-import (
-	"flexmeasures/internal/flexoffer"
-)
-
 // Multi-hop repair for Disaggregate. The single-hop pass in aggregate.go
 // moves energy directly between two constituents sharing a slot; when a
 // deficient constituent's neighbours have no slack of their own, the
@@ -34,19 +30,14 @@ type pathState struct {
 // augmenting-path transfers, preserving all slot sums and slice bounds
 // and never driving any other constituent below its own total minimum.
 // It returns the amount actually moved.
-func (ag *Aggregated) augmentInto(out []flexoffer.Assignment, target int, need int64) int64 {
+func (sp *split) augmentInto(target int, need int64) int64 {
 	var moved int64
 	for moved < need {
-		path, bottleneck := ag.findPath(out, target, need-moved)
+		path, bottleneck := sp.findPath(target, need-moved)
 		if len(path) == 0 || bottleneck <= 0 {
 			break
 		}
-		for _, st := range path {
-			jg := st.abs - out[st.gainer].Start
-			jl := st.abs - out[st.loser].Start
-			out[st.gainer].Values[jg] += bottleneck
-			out[st.loser].Values[jl] -= bottleneck
-		}
+		sp.apply(path, bottleneck)
 		moved += bottleneck
 	}
 	return moved
@@ -55,30 +46,34 @@ func (ag *Aggregated) augmentInto(out []flexoffer.Assignment, target int, need i
 // augmentOutOf lowers constituent target's total by up to excess, the
 // mirror image of augmentInto: the chain pushes energy away from target
 // towards a constituent with headroom below its total maximum.
-func (ag *Aggregated) augmentOutOf(out []flexoffer.Assignment, target int, excess int64) int64 {
+func (sp *split) augmentOutOf(target int, excess int64) int64 {
 	var moved int64
 	for moved < excess {
-		path, bottleneck := ag.findDrainPath(out, target, excess-moved)
+		path, bottleneck := sp.findDrainPath(target, excess-moved)
 		if len(path) == 0 || bottleneck <= 0 {
 			break
 		}
-		for _, st := range path {
-			jg := st.abs - out[st.gainer].Start
-			jl := st.abs - out[st.loser].Start
-			out[st.gainer].Values[jg] += bottleneck
-			out[st.loser].Values[jl] -= bottleneck
-		}
+		sp.apply(path, bottleneck)
 		moved += bottleneck
 	}
 	return moved
+}
+
+// apply moves amt along every hop of an augmenting path.
+func (sp *split) apply(path []repairStep, amt int64) {
+	for _, st := range path {
+		p, _ := sp.at(st.gainer, st.abs)
+		q, _ := sp.at(st.loser, st.abs)
+		sp.move(st.gainer, p, st.loser, q, amt)
+	}
 }
 
 // findPath searches breadth-first for a chain of same-slot transfers
 // ending at a constituent that can give up energy while staying at or
 // above its total minimum. Hops are returned in application order with
 // the bottleneck amount (capped at want).
-func (ag *Aggregated) findPath(out []flexoffer.Assignment, target int, want int64) ([]repairStep, int64) {
-	n := len(ag.Constituents)
+func (sp *split) findPath(target int, want int64) ([]repairStep, int64) {
+	n := len(sp.cons)
 	visited := make([]bool, n)
 	states := make([]pathState, n)
 	queue := []int{target}
@@ -87,29 +82,30 @@ func (ag *Aggregated) findPath(out []flexoffer.Assignment, target int, want int6
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		f := ag.Constituents[cur]
-		for j := 0; j < f.NumSlices(); j++ {
-			abs := out[cur].Start + j
-			gainRoom := f.Slices[j].Max - out[cur].Values[j]
+		c := &sp.cons[cur]
+		for j := 0; j < int(c.n); j++ {
+			abs := sp.out[cur].Start + j
+			p := int(c.lo) + j
+			gainRoom := sp.bounds[p].Max - sp.vals[p]
 			if gainRoom <= 0 {
 				continue
 			}
-			for k, g := range ag.Constituents {
+			for k := range sp.cons {
 				if visited[k] || k == cur {
 					continue
 				}
-				jk := abs - out[k].Start
-				if jk < 0 || jk >= g.NumSlices() {
+				q, ok := sp.at(k, abs)
+				if !ok {
 					continue
 				}
-				slotSpare := out[k].Values[jk] - g.Slices[jk].Min
+				slotSpare := sp.vals[q] - sp.bounds[q].Min
 				if slotSpare <= 0 {
 					continue
 				}
 				bottleneck := min(states[cur].cap, gainRoom, slotSpare)
 				visited[k] = true
 				states[k] = pathState{prev: cur, prevAbs: abs, cap: bottleneck}
-				if totalSpare := out[k].TotalEnergy() - g.TotalMin; totalSpare > 0 {
+				if totalSpare := sp.totals[k] - sp.cons[k].totalMin; totalSpare > 0 {
 					return tracePath(states, k), min(bottleneck, totalSpare)
 				}
 				queue = append(queue, k)
@@ -122,8 +118,8 @@ func (ag *Aggregated) findPath(out []flexoffer.Assignment, target int, want int6
 // findDrainPath is findPath with the transfer direction reversed: the
 // source sheds energy hop by hop until a constituent with total headroom
 // absorbs it.
-func (ag *Aggregated) findDrainPath(out []flexoffer.Assignment, target int, want int64) ([]repairStep, int64) {
-	n := len(ag.Constituents)
+func (sp *split) findDrainPath(target int, want int64) ([]repairStep, int64) {
+	n := len(sp.cons)
 	visited := make([]bool, n)
 	states := make([]pathState, n)
 	queue := []int{target}
@@ -132,29 +128,30 @@ func (ag *Aggregated) findDrainPath(out []flexoffer.Assignment, target int, want
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		f := ag.Constituents[cur]
-		for j := 0; j < f.NumSlices(); j++ {
-			abs := out[cur].Start + j
-			loseSpare := out[cur].Values[j] - f.Slices[j].Min
+		c := &sp.cons[cur]
+		for j := 0; j < int(c.n); j++ {
+			abs := sp.out[cur].Start + j
+			p := int(c.lo) + j
+			loseSpare := sp.vals[p] - sp.bounds[p].Min
 			if loseSpare <= 0 {
 				continue
 			}
-			for k, g := range ag.Constituents {
+			for k := range sp.cons {
 				if visited[k] || k == cur {
 					continue
 				}
-				jk := abs - out[k].Start
-				if jk < 0 || jk >= g.NumSlices() {
+				q, ok := sp.at(k, abs)
+				if !ok {
 					continue
 				}
-				gainRoom := g.Slices[jk].Max - out[k].Values[jk]
+				gainRoom := sp.bounds[q].Max - sp.vals[q]
 				if gainRoom <= 0 {
 					continue
 				}
 				bottleneck := min(states[cur].cap, loseSpare, gainRoom)
 				visited[k] = true
 				states[k] = pathState{prev: cur, prevAbs: abs, cap: bottleneck}
-				if headroom := g.TotalMax - out[k].TotalEnergy(); headroom > 0 {
+				if headroom := sp.cons[k].totalMax - sp.totals[k]; headroom > 0 {
 					return traceDrainPath(states, k), min(bottleneck, headroom)
 				}
 				queue = append(queue, k)

@@ -22,29 +22,21 @@ func slabGroup(r *rand.Rand, n int) []*flexoffer.FlexOffer {
 	return group
 }
 
-// TestAggregateSafeSlabMatchesTightenTotals pins the one-copy safe
+// TestAggregateSafeSlabMatchesTightenTotals pins the copy-free safe
 // aggregation and the one-slab disaggregation to their per-offer
-// definitions: the shared copies equal Clone and TightenTotals offer by
-// offer (empty and nil profiles included), AggregateSafe's constituents
-// equal the per-offer TightenTotals, the input offers are unmodified,
-// and appending to one constituent's Slices or one assignment's Values
-// leaves its neighbour unchanged.
+// definitions: the aggregate's bounds slab holds every constituent's
+// TightenTotals profile and totals (empty and nil profiles rejected as
+// TightenTotals copies are), Constituents are the caller's offers
+// themselves in a slice of their own — appending to or overwriting the
+// input slice leaves them unchanged — the input offers are unmodified,
+// and appending to one assignment's Values leaves its neighbour
+// unchanged.
 func TestAggregateSafeSlabMatchesTightenTotals(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 
-	// Profiles that are nil or empty copy to nil, as Clone does.
 	edge := slabGroup(r, 3)
 	edge = append(edge[:1], &flexoffer.FlexOffer{ID: "nil"}, edge[1],
 		&flexoffer.FlexOffer{ID: "empty", Slices: []flexoffer.Slice{}, TotalMin: 1}, edge[2])
-	clones, tightened := flexoffer.CloneAll(edge), flexoffer.TightenTotalsAll(edge)
-	for i, f := range edge {
-		if !reflect.DeepEqual(clones[i], f.Clone()) {
-			t.Errorf("CloneAll[%d] = %+v, want Clone %+v", i, clones[i], f.Clone())
-		}
-		if !reflect.DeepEqual(tightened[i], f.TightenTotals()) {
-			t.Errorf("TightenTotalsAll[%d] = %+v, want TightenTotals %+v", i, tightened[i], f.TightenTotals())
-		}
-	}
 	if _, err := AggregateSafe(edge); !errors.Is(err, flexoffer.ErrNoSlices) {
 		t.Errorf("AggregateSafe over an empty profile: err %v, want ErrNoSlices", err)
 	}
@@ -60,15 +52,26 @@ func TestAggregateSafeSlabMatchesTightenTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, f := range group {
-			if !reflect.DeepEqual(ag.Constituents[i], f.TightenTotals()) {
-				t.Fatalf("n=%d: constituent %d = %+v, want TightenTotals %+v", n, i, ag.Constituents[i], f.TightenTotals())
+			if ag.Constituents[i] != f {
+				t.Fatalf("n=%d: constituent %d is not the caller's offer", n, i)
 			}
-			if ag.Constituents[i] == f {
-				t.Fatalf("n=%d: constituent %d aliases its input", n, i)
+			c := ag.cons[i]
+			lo, hi := c.span()
+			tt := f.TightenTotals()
+			got := &flexoffer.FlexOffer{ID: f.ID, Zone: f.Zone, EarliestStart: c.est, LatestStart: c.lst,
+				Slices: ag.bounds[lo:hi:hi], TotalMin: c.totalMin, TotalMax: c.totalMax}
+			if !reflect.DeepEqual(got, tt) {
+				t.Fatalf("n=%d: constituent %d's slab = %+v, want TightenTotals %+v", n, i, got, tt)
 			}
 		}
 		if !reflect.DeepEqual(group, before) {
 			t.Fatalf("n=%d: AggregateSafe modified its input", n)
+		}
+		members := append([]*flexoffer.FlexOffer(nil), ag.Constituents...)
+		_ = append(group[:n-1], &flexoffer.FlexOffer{ID: "appended"})
+		group[0] = &flexoffer.FlexOffer{ID: "overwritten"}
+		if !reflect.DeepEqual(ag.Constituents, members) {
+			t.Fatalf("n=%d: Constituents alias the input slice", n)
 		}
 
 		a := ag.Offer.MaxAssignment()
@@ -77,11 +80,6 @@ func TestAggregateSafeSlabMatchesTightenTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i+1 < n; i++ {
-			next := ag.Constituents[i+1].Clone()
-			ag.Constituents[i].Slices = append(ag.Constituents[i].Slices, flexoffer.Slice{Min: -99, Max: 99})
-			if !reflect.DeepEqual(ag.Constituents[i+1], next) {
-				t.Fatalf("n=%d: appending to constituent %d's Slices changed constituent %d", n, i, i+1)
-			}
 			nextValues := append([]int64(nil), parts[i+1].Values...)
 			parts[i].Values = append(parts[i].Values, -99)
 			if !reflect.DeepEqual(parts[i+1].Values, nextValues) {
@@ -122,4 +120,62 @@ func TestAggregateSafeAllocsFlat(t *testing.T) {
 				sizes, aggAllocs, disAllocs)
 		}
 	}
+}
+
+// benchGroup is a dispatch-sized group: 64 offers of 8–16 slices with
+// earliest starts within two slots of each other, half of them with
+// totals tighter than their slice sums.
+func benchGroup(r *rand.Rand) []*flexoffer.FlexOffer {
+	group := make([]*flexoffer.FlexOffer, 64)
+	for i := range group {
+		slices := make([]flexoffer.Slice, 8+r.Intn(9))
+		for j := range slices {
+			lo := int64(r.Intn(4))
+			slices[j] = flexoffer.Slice{Min: lo, Max: lo + int64(r.Intn(8))}
+		}
+		est := r.Intn(3)
+		f := flexoffer.MustNew(est, est+4+r.Intn(8), slices...)
+		if i%2 == 0 {
+			span := f.SumMax() - f.SumMin()
+			f.TotalMin += span / 3
+			f.TotalMax -= span / 3
+		}
+		group[i] = f
+	}
+	return group
+}
+
+// BenchmarkAggregateSafeDisaggregate times one safe aggregation and
+// three disaggregations (minimum, maximum, mid-window) of a
+// dispatch-sized group on the copy-free slab path and on the copying
+// oracle it replaced.
+func BenchmarkAggregateSafeDisaggregate(b *testing.B) {
+	group := benchGroup(rand.New(rand.NewSource(43)))
+	ag, err := AggregateSafe(group)
+	if err != nil {
+		b.Fatal(err)
+	}
+	probes := probeAssignments(ag.Offer)
+	b.Run("slab", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ag, _ := AggregateSafe(group)
+			for _, a := range probes {
+				if _, err := ag.Disaggregate(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("copies", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ag, _ := oracleAggregateSafe(group)
+			for _, a := range probes {
+				if _, err := ag.Disaggregate(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

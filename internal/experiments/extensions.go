@@ -6,7 +6,6 @@ import (
 
 	"flexmeasures/internal/aggregate"
 	"flexmeasures/internal/core"
-	"flexmeasures/internal/flexoffer"
 	"flexmeasures/internal/grouping"
 	"flexmeasures/internal/sched"
 	"flexmeasures/internal/timeseries"
@@ -51,11 +50,11 @@ func DecomposabilityCost() (*Result, error) {
 		core.AbsoluteAreaMeasure{}, core.EntropyMeasure{},
 	}
 	for _, m := range measures {
-		pKept, err := retainedVsOriginals(plain, offers, m)
+		pKept, err := aggregate.RetainedFraction(plain, m)
 		if err != nil {
 			return nil, err
 		}
-		sKept, err := retainedVsOriginals(safe, offers, m)
+		sKept, err := aggregate.RetainedFraction(safe, m)
 		if err != nil {
 			return nil, err
 		}
@@ -69,28 +68,6 @@ func DecomposabilityCost() (*Result, error) {
 		"Shape: tightening preserves cmin/cmax, so totals-based measures (energy, product, vector) see no cost; the price lands exactly on the measures that read per-slice ranges — entropy/assignments — because folding an EV's 60% minimum charge into the slice minima removes per-slot choices.",
 		"Both variants aggregate the same groups, so the comparison isolates the tightening step.")
 	return r, nil
-}
-
-// retainedVsOriginals measures aggregate flexibility against the
-// *original* (untightened) offers, so plain and safe aggregation are
-// compared on the same baseline.
-func retainedVsOriginals(ags []*aggregate.Aggregated, originals []*flexoffer.FlexOffer, m core.Measure) (float64, error) {
-	before, err := m.SetValue(originals)
-	if err != nil {
-		return 0, err
-	}
-	var after float64
-	for _, ag := range ags {
-		v, err := m.Value(ag.Offer)
-		if err != nil {
-			return 0, err
-		}
-		after += v
-	}
-	if before == 0 {
-		return 1, nil
-	}
-	return after / before, nil
 }
 
 // PeakShaving is experiment X8: the DSO congestion scenario from the
@@ -175,7 +152,7 @@ func AlignmentAblation() (*Result, error) {
 		}
 		row := []string{al.String(), fmt.Sprintf("%d", len(ags))}
 		for _, m := range measures {
-			kept, err := retainedVsOriginals(ags, offers, m)
+			kept, err := aggregate.RetainedFraction(ags, m)
 			if err != nil {
 				return nil, err
 			}

@@ -249,33 +249,6 @@ func (f *FlexOffer) Clone() *FlexOffer {
 	return &out
 }
 
-// CloneAll returns a deep copy of every offer, each equal to its
-// Clone, in three allocations for the whole slice: one []FlexOffer
-// holding the copies, one []Slice slab holding every profile, and the
-// pointer slice. Each copy's Slices is a capacity-capped view of the
-// slab, so appending to one copy never writes into its neighbour; an
-// empty Slices becomes nil, exactly as with Clone. The offers must be
-// non-nil.
-func CloneAll(offers []*FlexOffer) []*FlexOffer {
-	n := 0
-	for _, f := range offers {
-		n += len(f.Slices)
-	}
-	copies := make([]FlexOffer, len(offers))
-	slab := make([]Slice, n)
-	out := make([]*FlexOffer, len(offers))
-	for i, f := range offers {
-		copies[i] = *f
-		copies[i].Slices = nil
-		if k := copy(slab, f.Slices); k > 0 {
-			copies[i].Slices = slab[:k:k]
-			slab = slab[k:]
-		}
-		out[i] = &copies[i]
-	}
-	return out
-}
-
 // Equal reports whether two flex-offers have identical intervals,
 // profiles and totals. IDs and zones are compared too.
 func (f *FlexOffer) Equal(o *FlexOffer) bool {

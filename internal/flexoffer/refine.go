@@ -86,38 +86,38 @@ func (f *FlexOffer) Refine(k int) (*FlexOffer, error) {
 // original flex-offer model (Šikšnys et al., SSDBM 2012) assumes.
 func (f *FlexOffer) TightenTotals() *FlexOffer {
 	out := f.Clone()
-	out.tightenTotals()
+	TightenSlices(out.Slices, out.TotalMin, out.TotalMax)
 	return out
 }
 
-// TightenTotalsAll returns every offer's TightenTotals, copied in one
-// CloneAll and tightened in place.
-func TightenTotalsAll(offers []*FlexOffer) []*FlexOffer {
-	out := CloneAll(offers)
-	for _, f := range out {
-		f.tightenTotals()
+// TightenSlices narrows slices in place the way TightenTotals narrows
+// an offer's profile under the totals [totalMin, totalMax]: minima are
+// raised left to right until their sum reaches totalMin, then maxima
+// lowered left to right until their sum falls to totalMax. Safe
+// aggregation tightens its own copy of every constituent's bounds with
+// it, so the constituents themselves are never copied.
+func TightenSlices(slices []Slice, totalMin, totalMax int64) {
+	var sumMin, sumMax int64
+	for _, s := range slices {
+		sumMin += s.Min
+		sumMax += s.Max
 	}
-	return out
-}
-
-// tightenTotals is TightenTotals on the offer itself.
-func (f *FlexOffer) tightenTotals() {
-	deficit := f.TotalMin - f.SumMin()
-	for i := 0; deficit > 0 && i < len(f.Slices); i++ {
-		room := f.Slices[i].Max - f.Slices[i].Min
+	deficit := totalMin - sumMin
+	for i := 0; deficit > 0 && i < len(slices); i++ {
+		room := slices[i].Max - slices[i].Min
 		if room > deficit {
 			room = deficit
 		}
-		f.Slices[i].Min += room
+		slices[i].Min += room
 		deficit -= room
 	}
-	excess := f.SumMax() - f.TotalMax
-	for i := 0; excess > 0 && i < len(f.Slices); i++ {
-		spare := f.Slices[i].Max - f.Slices[i].Min
+	excess := sumMax - totalMax
+	for i := 0; excess > 0 && i < len(slices); i++ {
+		spare := slices[i].Max - slices[i].Min
 		if spare > excess {
 			spare = excess
 		}
-		f.Slices[i].Max -= spare
+		slices[i].Max -= spare
 		excess -= spare
 	}
 }

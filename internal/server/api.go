@@ -165,44 +165,60 @@ func FlatTargetLevelRouted(parts [][]flex.RoutedOffer, horizon int, level int64)
 	return expected / int64(horizon)
 }
 
-// scheduleHead mirrors ScheduleResponse minus the Disaggregated tail —
-// the part of the response StreamScheduleResponse materializes up
-// front. Field order and tags must stay in lockstep with
-// ScheduleResponse: the streamed bytes are pinned byte-identical to
-// EncodeResponse(BuildScheduleResponse(...)) by TestStreamScheduleResponse.
-type scheduleHead struct {
-	Offers               int                    `json:"offers"`
-	Aggregates           int                    `json:"aggregates"`
-	Prosumers            int                    `json:"prosumers"`
-	Horizon              int                    `json:"horizon"`
-	TargetLevel          int64                  `json:"targetLevel"`
-	Imbalance            float64                `json:"imbalance"`
-	PeakLoad             int64                  `json:"peakLoad"`
-	Load                 SeriesJSON             `json:"load"`
-	AggregateAssignments []flexoffer.Assignment `json:"aggregateAssignments"`
+// StreamScheduleResponse writes resp incrementally: the head and then
+// the disaggregated assignments — the bulk of a big fleet's response —
+// are appended without reflection into one buffer that is written and
+// flushed whenever it passes 32 KiB, and once at the end, instead of
+// being materialized as a single document.
+// The bytes are exactly EncodeResponse(w, resp); only the peak memory
+// differs. It is streamSchedule without a previous encoding to reuse.
+func StreamScheduleResponse(w io.Writer, resp *ScheduleResponse) error {
+	_, _, err := streamSchedule(w, resp, nil, false)
+	return err
 }
 
-// StreamScheduleResponse writes resp incrementally: the head is one
-// small marshal, then the disaggregated assignments — the bulk of a
-// big fleet's response — are appended without reflection into one
-// buffer that is written and flushed whenever it passes 32 KiB, and
-// once at the end, instead of being materialized as a single document.
-// The bytes are exactly EncodeResponse(w, resp); only the peak memory
-// differs.
-func StreamScheduleResponse(w io.Writer, resp *ScheduleResponse) error {
-	head, err := json.Marshal(&scheduleHead{
-		Offers:               resp.Offers,
-		Aggregates:           resp.Aggregates,
-		Prosumers:            resp.Prosumers,
-		Horizon:              resp.Horizon,
-		TargetLevel:          resp.TargetLevel,
-		Imbalance:            resp.Imbalance,
-		PeakLoad:             resp.PeakLoad,
-		Load:                 resp.Load,
-		AggregateAssignments: resp.AggregateAssignments,
-	})
-	if err != nil {
-		return err
+// encodedGroups is one streamed schedule body kept for the next: the
+// body bytes and, per group, where its disaggregated JSON sits in them,
+// keyed by the group's assignment slice. The incremental pipeline hands
+// a group whose disaggregation it carried over the very same slice, and
+// nothing mutates a delivered slice, so a key that matches — first
+// element's address and length — names the same bytes. Each key points
+// into its slice and so keeps it alive: no address can be reused by
+// another slice while it is indexed.
+type encodedGroups struct {
+	body  []byte
+	spans map[*flexoffer.Assignment]groupSpan
+}
+
+// groupSpan locates one group's JSON, body[lo:hi], encoded from a slice
+// of n assignments.
+type groupSpan struct {
+	lo, hi, n int
+}
+
+// lookup returns the previously encoded bytes of group, if any.
+func (e *encodedGroups) lookup(group []flexoffer.Assignment) ([]byte, bool) {
+	if e == nil || len(group) == 0 {
+		return nil, false
+	}
+	sp, ok := e.spans[&group[0]]
+	if !ok || sp.n != len(group) {
+		return nil, false
+	}
+	return e.body[sp.lo:sp.hi], true
+}
+
+// streamSchedule writes resp as StreamScheduleResponse does, copying
+// the bytes of every group prev encoded instead of re-encoding it. With
+// keep set it keeps the whole body in one buffer (still written and
+// flushed every 32 KiB) and returns it indexed for the next call,
+// together with the number of groups it copied. Writing stops at the
+// first error.
+func streamSchedule(w io.Writer, resp *ScheduleResponse, prev *encodedGroups, keep bool) (*encodedGroups, int, error) {
+	if math.IsNaN(resp.Imbalance) || math.IsInf(resp.Imbalance, 0) {
+		// encoding/json refuses non-finite floats; report its error.
+		_, err := json.Marshal(resp.Imbalance)
+		return nil, 0, err
 	}
 	f, _ := w.(interface{ Flush() })
 	emit := func(b []byte) error {
@@ -214,27 +230,70 @@ func StreamScheduleResponse(w io.Writer, resp *ScheduleResponse) error {
 		}
 		return nil
 	}
-	// Drop the head's closing brace and splice in the tail field.
-	b := make([]byte, 0, len(head)+2*scheduleChunk)
-	b = append(b, head[:len(head)-1]...)
+	size := 2 * scheduleChunk
+	if keep && prev != nil {
+		size += len(prev.body)
+	}
+	b := appendScheduleHead(make([]byte, 0, size), resp)
 	b = append(b, `,"disaggregated":`...)
 	if resp.Disaggregated == nil {
-		return emit(append(b, "null}\n"...))
+		return nil, 0, emit(append(b, "null}\n"...))
+	}
+	var next *encodedGroups
+	if keep {
+		next = &encodedGroups{spans: make(map[*flexoffer.Assignment]groupSpan, len(resp.Disaggregated))}
 	}
 	b = append(b, '[')
+	reused, written := 0, 0
 	for i, group := range resp.Disaggregated {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendAssignments(b, group)
-		if len(b) >= scheduleChunk {
-			if err := emit(b); err != nil {
-				return err
+		lo := len(b)
+		if enc, ok := prev.lookup(group); ok {
+			b = append(b, enc...)
+			reused++
+		} else {
+			b = appendAssignments(b, group)
+		}
+		if keep && len(group) > 0 {
+			next.spans[&group[0]] = groupSpan{lo: lo, hi: len(b), n: len(group)}
+		}
+		if len(b)-written >= scheduleChunk {
+			if err := emit(b[written:]); err != nil {
+				return nil, reused, err
 			}
-			b = b[:0]
+			if written = len(b); !keep {
+				b, written = b[:0], 0
+			}
 		}
 	}
-	return emit(append(b, "]}\n"...))
+	b = append(b, "]}\n"...)
+	if err := emit(b[written:]); err != nil {
+		return nil, reused, err
+	}
+	if keep {
+		next.body = b
+	}
+	return next, reused, nil
+}
+
+// appendScheduleHead appends resp as json.Marshal encodes it up to,
+// not including, the "disaggregated" field: every field before it, in
+// ScheduleResponse's order, without reflection. resp.Imbalance must be
+// finite.
+func appendScheduleHead(b []byte, resp *ScheduleResponse) []byte {
+	b = strconv.AppendInt(append(b, `{"offers":`...), int64(resp.Offers), 10)
+	b = strconv.AppendInt(append(b, `,"aggregates":`...), int64(resp.Aggregates), 10)
+	b = strconv.AppendInt(append(b, `,"prosumers":`...), int64(resp.Prosumers), 10)
+	b = strconv.AppendInt(append(b, `,"horizon":`...), int64(resp.Horizon), 10)
+	b = strconv.AppendInt(append(b, `,"targetLevel":`...), resp.TargetLevel, 10)
+	b = appendJSONFloat(append(b, `,"imbalance":`...), resp.Imbalance)
+	b = strconv.AppendInt(append(b, `,"peakLoad":`...), resp.PeakLoad, 10)
+	b = strconv.AppendInt(append(b, `,"load":{"start":`...), int64(resp.Load.Start), 10)
+	b = appendInts(append(b, `,"values":`...), resp.Load.Values)
+	b = append(b, `},"aggregateAssignments":`...)
+	return appendAssignments(b, resp.AggregateAssignments)
 }
 
 // scheduleChunk is the size at which StreamScheduleResponse writes and
@@ -255,19 +314,24 @@ func appendAssignments(b []byte, as []flexoffer.Assignment) []byte {
 		}
 		b = append(b, `{"start":`...)
 		b = strconv.AppendInt(b, int64(a.Start), 10)
-		b = append(b, `,"values":`...)
-		if a.Values == nil {
-			b = append(b, "null}"...)
-			continue
+		b = appendInts(append(b, `,"values":`...), a.Values)
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// appendInts appends vs as a JSON array of integers, null for a nil
+// slice.
+func appendInts(b []byte, vs []int64) []byte {
+	if vs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for j, v := range vs {
+		if j > 0 {
+			b = append(b, ',')
 		}
-		b = append(b, '[')
-		for j, v := range a.Values {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, v, 10)
-		}
-		b = append(b, "]}"...)
+		b = strconv.AppendInt(b, v, 10)
 	}
 	return append(b, ']')
 }

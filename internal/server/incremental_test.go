@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -90,6 +91,13 @@ func TestIncrementalScheduleMetrics(t *testing.T) {
 	if v := metricValue(t, text, "flexd_sched_pending_mutations"); v != 0 {
 		t.Errorf("pending mutations after schedule = %d, want 0", v)
 	}
+	// A cold run sorts every offer and has no previous body to copy.
+	if v := metricValue(t, text, "flexd_sched_order_delta"); v != int64(len(offers)) {
+		t.Errorf("order delta of the cold run = %d, want %d", v, len(offers))
+	}
+	if v := metricValue(t, text, "flexd_sched_encoded_groups_reused"); v != 0 {
+		t.Errorf("cold run copied %d encoded groups, want 0", v)
+	}
 
 	// Re-submit 3 offers (<1% of 400) under existing IDs, staying in
 	// each replaced offer's EST cluster.
@@ -135,6 +143,29 @@ func TestIncrementalScheduleMetrics(t *testing.T) {
 	if v := metricValue(t, text, "flexd_sched_full_recompute_total"); v != 1 {
 		t.Errorf("delta run fell back to full recompute (total %d, want 1)", v)
 	}
+	// The 3 replacements re-sort 3 removed and 3 added entries, and
+	// every group whose placement replayed keeps its encoded JSON.
+	if v := metricValue(t, text, "flexd_sched_order_delta"); v != 6 {
+		t.Errorf("order delta of the delta run = %d, want 6", v)
+	}
+	if v := metricValue(t, text, "flexd_sched_encoded_groups_reused"); v < reused {
+		t.Errorf("delta run copied %d encoded groups, want at least the %d replayed placements", v, reused)
+	}
+
+	// An identical schedule re-sorts nothing and re-encodes no group.
+	_, body = post(t, query, nil)
+	var sr ScheduleResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	_, mb = get(t, srv.URL+"/metrics")
+	text = string(mb)
+	if v := metricValue(t, text, "flexd_sched_order_delta"); v != 0 {
+		t.Errorf("order delta of an unchanged run = %d, want 0", v)
+	}
+	if v := metricValue(t, text, "flexd_sched_encoded_groups_reused"); v != int64(sr.Aggregates) {
+		t.Errorf("unchanged run copied %d of %d encoded groups, want all", v, sr.Aggregates)
+	}
 
 	// Reset drops the store and the cache; the next run is cold again.
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/offers", nil)
@@ -146,5 +177,8 @@ func TestIncrementalScheduleMetrics(t *testing.T) {
 	_, mb = get(t, srv.URL+"/metrics")
 	if v := metricValue(t, string(mb), "flexd_sched_pending_mutations"); v == 0 {
 		t.Error("reset noted no mutation")
+	}
+	if v := metricValue(t, string(mb), "flexd_sched_order_delta"); v != 0 {
+		t.Errorf("order delta after reset = %d, want 0", v)
 	}
 }

@@ -59,6 +59,9 @@ type metrics struct {
 	// shardIngest[k] counts offers routed to shard k at ingest time
 	// (sized to the engine's shard count in NewSharded).
 	shardIngest []atomic.Int64
+	// encodedReused is the number of groups whose JSON the last
+	// streamed schedule copied from the one before.
+	encodedReused atomic.Int64
 	// latency[route] maps status code (int) to that (route, code)
 	// pair's latency histogram. A sync.Map because the code set is tiny
 	// and write-once: after the first request per pair, observation is
@@ -279,6 +282,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("# HELP flexd_sched_reused_placements Groups whose placement was replayed unchanged by the most recent schedule run.\n")
 	write("# TYPE flexd_sched_reused_placements gauge\n")
 	write("flexd_sched_reused_placements %d\n", st.LastReused)
+	write("# HELP flexd_sched_order_delta Entries the most recent schedule run re-sorted to update the cached grouping order (removed plus added).\n")
+	write("# TYPE flexd_sched_order_delta gauge\n")
+	write("flexd_sched_order_delta %d\n", s.se.OrderDelta())
+	write("# HELP flexd_sched_encoded_groups_reused Groups whose response JSON the most recent schedule copied from the previous response instead of encoding.\n")
+	write("# TYPE flexd_sched_encoded_groups_reused gauge\n")
+	write("flexd_sched_encoded_groups_reused %d\n", s.m.encodedReused.Load())
 	write("# HELP flexd_sched_pending_mutations Store mutations since the last successful schedule run.\n")
 	write("# TYPE flexd_sched_pending_mutations gauge\n")
 	write("flexd_sched_pending_mutations %d\n", s.tracker.Pending())

@@ -300,6 +300,7 @@ func TestMetricsExposition(t *testing.T) {
 		"flexd_shard_pool_workers", "flexd_shard_pool_busy",
 		"flexd_stage_seconds", "flexd_pool_queue_seconds", "flexd_wal_fsync_seconds",
 		"flexd_offers_ingested_total", "flexd_groups_total",
+		"flexd_sched_order_delta", "flexd_sched_encoded_groups_reused",
 	}
 	for _, fam := range families {
 		if !strings.Contains(metrics, "# HELP "+fam+" ") {
@@ -308,6 +309,15 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(metrics, "# TYPE "+fam+" ") {
 			t.Errorf("/metrics: missing TYPE for %s", fam)
 		}
+	}
+
+	// The engine runs without WithIncremental: no cached order, and a
+	// first schedule has no previous body to copy from.
+	if v := findLine(metrics, "flexd_sched_order_delta "); v != "0" {
+		t.Errorf("flexd_sched_order_delta = %q, want 0", v)
+	}
+	if v := findLine(metrics, "flexd_sched_encoded_groups_reused "); v != "0" {
+		t.Errorf("flexd_sched_encoded_groups_reused = %q, want 0", v)
 	}
 
 	var buildInfo int

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,6 +114,15 @@ type Server struct {
 	// the dirty tracker behind flexd_sched_pending_mutations. Ingest
 	// and reset feed it; a successful schedule marks it absorbed.
 	tracker inc.Tracker
+
+	// enc is the last streamed schedule body, indexed by group so the
+	// next schedule copies the JSON of every group whose
+	// disaggregation the incremental pipeline carried over (see
+	// streamSchedule). A schedule takes it under encMu, encodes and
+	// writes without the lock, and swaps its own in at the end, so a
+	// slow client never blocks another schedule.
+	encMu sync.Mutex
+	enc   *encodedGroups
 
 	// tracer/logger are the observability hooks from Options; obsM is
 	// the stage-metrics sink — the tracer's when one is installed, a
@@ -501,6 +511,9 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	// Content addressing would age it out anyway (a reset store hands
 	// out fresh pointers); invalidating releases the memory now.
 	s.se.InvalidateIncremental()
+	s.encMu.Lock()
+	s.enc = nil
+	s.encMu.Unlock()
 	s.tracker.Note(1)
 	writeJSON(w, http.StatusOK, &StoreResponse{Stored: 0})
 }
@@ -613,7 +626,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.tracker.MarkScheduled()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = StreamScheduleResponse(w, BuildScheduleResponse(total, res, target, horizon, level))
+	s.encMu.Lock()
+	prev := s.enc
+	s.encMu.Unlock()
+	next, reused, err := streamSchedule(w, BuildScheduleResponse(total, res, target, horizon, level), prev, true)
+	if err != nil {
+		return
+	}
+	s.m.encodedReused.Store(int64(reused))
+	s.encMu.Lock()
+	s.enc = next
+	s.encMu.Unlock()
 }
 
 // deadlineWriter pushes the connection's write deadline d into the

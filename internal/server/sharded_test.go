@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -150,6 +151,19 @@ func TestStreamScheduleResponse(t *testing.T) {
 			{Start: math.MaxInt, Values: []int64{-5}},
 		}}),
 		"more than three chunks": bare(large),
+		"head edge cases": {Offers: 3, Aggregates: -1, Prosumers: math.MaxInt, Horizon: math.MinInt,
+			TargetLevel: math.MinInt64, Imbalance: 12.375, PeakLoad: math.MaxInt64,
+			Load: SeriesJSON{Start: -7}, AggregateAssignments: []flexoffer.Assignment{{Start: 2}}},
+		"negative zero imbalance": {Imbalance: math.Copysign(0, -1), AggregateAssignments: []flexoffer.Assignment{}},
+		"tiny imbalance":          {Imbalance: 1.5e-9},
+		"huge imbalance":          {Imbalance: 3.25e22},
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := &ScheduleResponse{Imbalance: x}
+		want := EncodeResponse(io.Discard, r)
+		if got := StreamScheduleResponse(io.Discard, r); want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("imbalance %v: streamed error %v, one-shot error %v", x, got, want)
+		}
 	}
 	for name, r := range cases {
 		var oneShot bytes.Buffer

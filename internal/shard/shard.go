@@ -11,8 +11,8 @@
 //     shards in sequence order is exactly the offer list a single
 //     store would hold.
 //   - Run merging: the deterministic gather step. Each shard
-//     stable-sorts its entries by the grouping key; MergeRuns k-way
-//     merges the runs by (earliest start, time flexibility, sequence),
+//     stable-sorts its entries by the grouping key; MergeRuns merges
+//     the runs by (earliest start, time flexibility, sequence),
 //     which reproduces the global stable sort bit for bit — the fact
 //     the scatter-gather pipeline's equivalence proof rests on.
 //

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"flexmeasures/internal/flexoffer"
 )
@@ -278,5 +280,76 @@ func TestStoresSnapshotImmutable(t *testing.T) {
 	}
 	if st.Len() != 30 {
 		t.Fatalf("Len = %d, want 30", st.Len())
+	}
+}
+
+// TestStoresZoneMovesCloneOncePerBatch applies 1,000 zone-changing
+// re-submissions (cross-shard moves) plus deletions to a 40k-offer,
+// 4-shard store as one batch. The result must equal applying the same
+// mutations one batch each, a snapshot taken before the batch must be
+// unchanged, and the batch must allocate no more than a few copies of
+// the store: each touched shard is cloned once and edited in place,
+// not copied per move.
+func TestStoresZoneMovesCloneOncePerBatch(t *testing.T) {
+	const n, moves, deletes = 40000, 1000, 100
+	rng := rand.New(rand.NewSource(17))
+	offers := make([]*flexoffer.FlexOffer, n)
+	for i := range offers {
+		offers[i] = randOffer(rng, fmt.Sprintf("p-%05d", i), fmt.Sprintf("z%d", rng.Intn(4)))
+	}
+	batched, single := NewStores(Router{Shards: 4}), NewStores(Router{Shards: 4})
+	batched.Add(offers)
+	single.Add(offers)
+
+	moved := make([]*flexoffer.FlexOffer, moves)
+	for i := range moved {
+		old := offers[rng.Intn(n)]
+		zone := old.Zone
+		for zone == old.Zone {
+			zone = fmt.Sprintf("z%d", rng.Intn(4))
+		}
+		moved[i] = randOffer(rng, old.ID, zone)
+	}
+	muts := batched.Stage(moved)
+	ids := make([]string, deletes)
+	for i := range ids {
+		ids[i] = offers[rng.Intn(n)].ID
+	}
+	before := batched.Snapshot()
+	beforeCopy := make([][]Entry, len(before))
+	for k, part := range before {
+		beforeCopy[k] = append([]Entry(nil), part...)
+	}
+
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	if err := batched.Apply(muts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms1)
+	allocated := ms1.TotalAlloc - ms0.TotalAlloc
+	if err := batched.Apply(batched.StageDelete(ids)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range muts {
+		if err := single.Apply([]Mutation{m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range single.StageDelete(ids) {
+		if err := single.Apply([]Mutation{m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got, want := batched.Snapshot(), single.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatal("one batch of moves differs from the same moves applied one per batch")
+	}
+	if !reflect.DeepEqual(before, beforeCopy) {
+		t.Fatal("a snapshot taken before the batch changed")
+	}
+	storeBytes := uint64(n) * uint64(unsafe.Sizeof(Entry{}))
+	if allocated > 4*storeBytes {
+		t.Fatalf("a batch of %d zone moves allocated %d B, more than 4 store copies (%d B)", moves, allocated, 4*storeBytes)
 	}
 }

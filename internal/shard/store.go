@@ -287,17 +287,14 @@ func (s *Stores) applyOne(m Mutation, cloned []bool) error {
 		if m.Shard < 0 || m.Shard >= len(s.shards) {
 			return fmt.Errorf("shard %d out of range [0,%d)", m.Shard, len(s.shards))
 		}
-		old := s.shards[m.Shard]
-		pos := findSeq(old, m.Seq)
-		if pos >= len(old) || old[pos].Seq != m.Seq {
+		sh := s.shards[m.Shard]
+		pos := findSeq(sh, m.Seq)
+		if pos >= len(sh) || sh[pos].Seq != m.Seq {
 			return fmt.Errorf("delete of absent entry on shard %d", m.Shard)
 		}
-		victim := old[pos]
-		next := make([]Entry, 0, len(old)-1)
-		next = append(next, old[:pos]...)
-		next = append(next, old[pos+1:]...)
-		s.shards[m.Shard] = next
-		cloned[m.Shard] = true
+		victim := sh[pos]
+		s.own(m.Shard, cloned)
+		s.shards[m.Shard] = removeAt(s.shards[m.Shard], pos)
 		if victim.Offer.ID != "" {
 			delete(s.index, victim.Offer.ID)
 		}
@@ -314,33 +311,43 @@ func (s *Stores) applyOne(m Mutation, cloned []bool) error {
 // shard when routing changed, cloning touched shards at most once per
 // Apply batch.
 func (s *Stores) replace(f *flexoffer.FlexOffer, l loc, target int, cloned []bool) {
+	s.own(l.shard, cloned)
 	pos := findSeq(s.shards[l.shard], l.seq)
 	if target == l.shard {
-		if !cloned[l.shard] {
-			s.shards[l.shard] = append([]Entry(nil), s.shards[l.shard]...)
-			cloned[l.shard] = true
-		}
 		s.shards[l.shard][pos] = Entry{Offer: f, Seq: l.seq}
 		return
 	}
 	// Cross-shard move: remove from the old shard, insert into the new
 	// one at the position its sequence number dictates, so every shard
-	// slice stays Seq-sorted.
-	old := s.shards[l.shard]
-	next := make([]Entry, 0, len(old)-1)
-	next = append(next, old[:pos]...)
-	next = append(next, old[pos+1:]...)
-	s.shards[l.shard] = next
-	cloned[l.shard] = true
-
+	// slice stays Seq-sorted. Both edits run in place on this batch's
+	// clones, so k moves in one batch cost at most one clone per shard,
+	// not two per move.
+	s.shards[l.shard] = removeAt(s.shards[l.shard], pos)
+	s.own(target, cloned)
 	dst := s.shards[target]
 	at := insertionPoint(dst, l.seq)
-	grown := make([]Entry, 0, len(dst)+1)
-	grown = append(grown, dst[:at]...)
-	grown = append(grown, Entry{Offer: f, Seq: l.seq})
-	grown = append(grown, dst[at:]...)
-	s.shards[target] = grown
-	cloned[target] = true
+	dst = append(dst, Entry{})
+	copy(dst[at+1:], dst[at:])
+	dst[at] = Entry{Offer: f, Seq: l.seq}
+	s.shards[target] = dst
+}
+
+// own makes shard k's slice this Apply batch's private copy, cloning it
+// on the batch's first in-place edit of the shard, so snapshots taken
+// before the batch never see the edits.
+func (s *Stores) own(k int, cloned []bool) {
+	if !cloned[k] {
+		s.shards[k] = append([]Entry(nil), s.shards[k]...)
+		cloned[k] = true
+	}
+}
+
+// removeAt removes entries[pos] in place, clearing the vacated tail
+// slot so the private copy keeps no reference to the removed offer.
+func removeAt(entries []Entry, pos int) []Entry {
+	copy(entries[pos:], entries[pos+1:])
+	entries[len(entries)-1] = Entry{}
+	return entries[:len(entries)-1]
 }
 
 // findSeq locates seq in a Seq-sorted entry slice (it must be present).

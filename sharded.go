@@ -3,6 +3,7 @@ package flex
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -107,17 +108,19 @@ func (e *Engine) aggregateBlock(ctx context.Context, k int, groups [][]*FlexOffe
 
 // scatterGroup is the scatter-gather grouping stage: each non-empty
 // part is stable-sorted by the grouping key on its shard's pool (the
-// parts run concurrently with each other), the runs are k-way merged
-// by (est, tf, seq) into the global stable grouping order, and the
-// merged run is greedily packed — in parallel per EST-gap segment when
-// the cut produces more than one (grouping.PackSorted, the same pack
-// grouping.Sharded runs). With a custom Grouper installed the parts
-// are flattened back into store order and handed to it whole.
-func (e *Engine) scatterGroup(ctx context.Context, parts [][]RoutedOffer, o engineOptions) ([][]*FlexOffer, error) {
+// parts run concurrently with each other), the runs are merged by
+// (est, tf, seq) into the global stable grouping order, and the merged
+// run is greedily packed — in parallel per EST-gap segment when the
+// cut produces more than one (grouping.PackSorted, the same pack
+// grouping.Sharded runs). With cached set (incremental calls) the sort
+// starts from the previous call's order (see scatterSort). With a
+// custom Grouper installed the parts are flattened back into store
+// order and handed to it whole.
+func (e *Engine) scatterGroup(ctx context.Context, parts [][]RoutedOffer, o engineOptions, cached bool) ([][]*FlexOffer, error) {
 	if o.grouper != nil {
 		return o.grouper.Group(ctx, shard.Flatten(parts))
 	}
-	merged := e.scatterSort(ctx, parts, o)
+	merged := e.scatterSort(ctx, parts, o, cached)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -127,46 +130,174 @@ func (e *Engine) scatterGroup(ctx context.Context, parts [][]RoutedOffer, o engi
 	return grouping.PackSorted(ctx, merged.Offers, merged.ESTs, merged.TFs, o.group, e.executor(0), o.workers)
 }
 
-// scatterSort sorts every part on its shard's pool and merges the
-// runs. The whole stage runs under one group_sort span with a
-// shard-labeled child per non-empty part, so a trace shows both the
-// critical path (parent) and the per-shard skew (children).
-func (e *Engine) scatterSort(ctx context.Context, parts [][]RoutedOffer, o engineOptions) shard.Run {
+// orderState is one call's grouping order: the parts it sorted and
+// their merged run.
+type orderState struct {
+	parts  [][]RoutedOffer
+	merged shard.Run
+}
+
+// orderCache carries the grouping order across incremental calls, so a
+// call re-sorts only the entries that changed since the previous one.
+// Calls read the last state and publish their own under the mutex but
+// sort without holding it; whichever call publishes last is the base
+// of the next. Holding the previous parts keeps their offers alive, so
+// no offer address seen by the previous call can be reused by a new
+// offer.
+type orderCache struct {
+	mu    sync.Mutex
+	last  orderState
+	delta int
+}
+
+func (c *orderCache) load() orderState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.last
+}
+
+func (c *orderCache) store(st orderState, delta int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.last, c.delta = st, delta
+}
+
+// scatterSort produces the merged grouping order of the parts. Without
+// cached it sorts every part from scratch; with it, it starts from the
+// order the previous cached call published and publishes its own. Both
+// run one code path, sortFrom, which without a previous order counts
+// every entry as added.
+func (e *Engine) scatterSort(ctx context.Context, parts [][]RoutedOffer, o engineOptions, cached bool) shard.Run {
 	ctx, sp := obs.Start(ctx, obs.StageGroupSort)
 	defer sp.End()
-	runs := make([]shard.Run, len(parts))
+	if !cached {
+		run, _, _ := e.sortFrom(ctx, orderState{}, parts, o)
+		return run
+	}
+	prev := e.order.load()
+	run, delta, ok := e.sortFrom(ctx, prev, parts, o)
+	if !ok {
+		// An entry the previous order held is not where its key puts
+		// it: an offer was modified in place, against the contract.
+		// Sorting from scratch is always right.
+		run, delta, _ = e.sortFrom(ctx, orderState{}, parts, o)
+	}
+	e.order.store(orderState{parts: append([][]RoutedOffer(nil), parts...), merged: run}, delta)
+	return run
+}
+
+// sortFrom updates prev's merged order to the parts'. Every shard
+// diffs its part against prev's on its own pool (diffPart) and sorts
+// its added entries with grouping.SortRun; the removed entries are
+// then cut out of prev's merged run and the added runs merged in
+// (shard.MergeDelta). Each non-empty or previously non-empty part gets
+// a shard-labeled child span. It reports the merged run, the number of
+// entries removed plus added, and false when a removed entry was not
+// found in prev's run.
+func (e *Engine) sortFrom(ctx context.Context, prev orderState, parts [][]RoutedOffer, o engineOptions) (shard.Run, int, bool) {
+	if len(prev.parts) != len(parts) {
+		prev = orderState{}
+	}
+	added := make([]shard.Run, len(parts))
+	removed := make([][]RoutedOffer, len(parts))
 	var ks []int
 	for k := range parts {
-		if len(parts[k]) > 0 {
+		if len(parts[k]) > 0 || (prev.parts != nil && len(prev.parts[k]) > 0) {
 			ks = append(ks, k)
 		}
 	}
 	fanOut(ks, func(k int) {
 		_, ssp := obs.Start(obs.WithShard(ctx, k), obs.StageGroupSort)
 		defer ssp.End()
-		part := parts[k]
-		offers := make([]*FlexOffer, len(part))
-		seqs := make([]uint64, len(part))
-		for i, en := range part {
-			offers[i] = en.Offer
-			seqs[i] = en.Seq
+		var old, add []RoutedOffer
+		if prev.parts != nil {
+			old = prev.parts[k]
 		}
-		perm, ests, tfs := grouping.SortRun(offers, e.executor(k), o.workers)
-		run := shard.Run{
-			Offers: make([]*FlexOffer, len(part)),
-			Seqs:   make([]uint64, len(part)),
-			ESTs:   make([]int, len(part)),
-			TFs:    make([]int, len(part)),
+		removed[k], add = diffPart(old, parts[k])
+		if len(add) > 0 {
+			added[k] = sortEntries(add, e.executor(k), o.workers)
 		}
-		for i, pi := range perm {
-			run.Offers[i] = offers[pi]
-			run.Seqs[i] = seqs[pi]
-			run.ESTs[i] = ests[pi]
-			run.TFs[i] = tfs[pi]
-		}
-		runs[k] = run
 	})
-	return shard.MergeRuns(runs)
+	delta := 0
+	for k := range parts {
+		delta += len(removed[k]) + added[k].Len()
+	}
+	drop := make([]int, 0, delta)
+	for _, rem := range removed {
+		for _, en := range rem {
+			f := en.Offer
+			p := prev.merged.Search(f.EarliestStart, f.TimeFlexibility(), en.Seq)
+			if p == prev.merged.Len() || prev.merged.Seqs[p] != en.Seq || prev.merged.Offers[p] != f {
+				return shard.Run{}, 0, false
+			}
+			drop = append(drop, p)
+		}
+	}
+	slices.Sort(drop)
+	return shard.MergeDelta(prev.merged, drop, added), delta, true
+}
+
+// diffPart compares one shard's previous entries with its current ones
+// in Seq lockstep: an entry with the same Seq and the same offer
+// pointer is kept, anything else is removed from old or added from
+// cur. The store never rewrites a position a snapshot can see, so when
+// both share a backing array their common prefix is unchanged: an
+// unchanged part costs nothing, and appends made in place cost only
+// the appended entries.
+func diffPart(old, cur []RoutedOffer) (removed, added []RoutedOffer) {
+	i, j := 0, 0
+	if len(old) > 0 && len(cur) > 0 && &old[0] == &cur[0] {
+		i = min(len(old), len(cur))
+		j = i
+	}
+	for i < len(old) && j < len(cur) {
+		switch a, b := old[i], cur[j]; {
+		case a.Seq == b.Seq:
+			if a.Offer != b.Offer {
+				removed = append(removed, a)
+				added = append(added, b)
+			}
+			i++
+			j++
+		case a.Seq < b.Seq:
+			removed = append(removed, a)
+			i++
+		default:
+			added = append(added, b)
+			j++
+		}
+	}
+	removed = append(removed, old[i:]...)
+	if added == nil {
+		return removed, cur[j:]
+	}
+	return removed, append(added, cur[j:]...)
+}
+
+// sortEntries stable-sorts Seq-ascending entries by the grouping key
+// into a run (a stable (est, tf) sort of them is in (est, tf, seq)
+// order), deriving the keys on ex.
+func sortEntries(entries []RoutedOffer, ex Executor, workers int) shard.Run {
+	offers := make([]*FlexOffer, len(entries))
+	seqs := make([]uint64, len(entries))
+	for i, en := range entries {
+		offers[i] = en.Offer
+		seqs[i] = en.Seq
+	}
+	perm, ests, tfs := grouping.SortRun(offers, ex, workers)
+	run := shard.Run{
+		Offers: make([]*FlexOffer, len(entries)),
+		Seqs:   make([]uint64, len(entries)),
+		ESTs:   make([]int, len(entries)),
+		TFs:    make([]int, len(entries)),
+	}
+	for i, pi := range perm {
+		run.Offers[i] = offers[pi]
+		run.Seqs[i] = seqs[pi]
+		run.ESTs[i] = ests[pi]
+		run.TFs[i] = tfs[pi]
+	}
+	return run
 }
 
 // scatterAggregateStream fans per-group aggregation out across the
