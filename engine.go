@@ -661,18 +661,20 @@ func measureNames(ms []Measure) []string {
 // [lo, lo+MeasuresBlock), fewer in the fleet's last block.
 const MeasuresBlock = 256
 
-// MeasuresEach is the measures evaluator. All rows live in one
-// row-major slab of len(offers)×8 values, filled in contiguous blocks
-// of MeasuresBlock offers fanned out across the shard pools; each row
-// of the table is a capacity-capped view of its slab segment, so an
+// MeasuresEach is the measures evaluator. It touches each offer once:
+// core.MeasureRow fills the offer's row of one row-major slab of
+// len(offers)×8 values and folds its exact assignments count into its
+// block's core.AssignmentsProduct, in contiguous blocks of
+// MeasuresBlock offers fanned out across the shard pools. Each row of
+// the table is a capacity-capped view of its slab segment, so an
 // append to one row cannot overwrite the next. When each is non-nil
 // it is called on the worker that filled a block, as soon as that
 // block is done, with the block's first offer index and its rows (the
 // table's own rows, which the callback must not modify) — concurrently
 // for different blocks and in no particular order. A cancelled
 // context skips the blocks not yet started, and their callbacks. Once
-// every block is done the set-level row is folded from the slab
-// (foldSet).
+// every block is done the set-level row is folded from the slab and
+// the block products (foldSet), without reading an offer again.
 func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each func(lo int, rows [][]float64), opts ...Option) (*MeasureTable, error) {
 	o := e.resolve(opts)
 	if err := ctx.Err(); err != nil {
@@ -680,10 +682,9 @@ func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each fun
 	}
 	_, sp := obs.Start(ctx, obs.StageMeasures)
 	defer sp.End()
-	ms := measureSet(o.norm)
-	w := len(ms)
+	const w = core.RowWidth
 	t := &MeasureTable{
-		Names:  measureNames(ms),
+		Names:  measureNames(measureSet(o.norm)),
 		Values: make([][]float64, len(offers)),
 		Set:    make([]float64, w),
 	}
@@ -693,6 +694,7 @@ func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each fun
 	}
 	done := ctx.Done()
 	blocks := (len(offers) + MeasuresBlock - 1) / MeasuresBlock
+	products := make([]core.AssignmentsProduct, blocks)
 	e.forBlocks(blocks, func(k, blo, bhi int) {
 		e.runIndexed(k, bhi-blo, func(b int) {
 			select {
@@ -703,14 +705,7 @@ func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each fun
 			lo := (blo + b) * MeasuresBlock
 			hi := min(lo+MeasuresBlock, len(offers))
 			for i, f := range offers[lo:hi] {
-				row := t.Values[lo+i]
-				for j, m := range ms {
-					v, err := m.Value(f)
-					if err != nil {
-						v = math.NaN()
-					}
-					row[j] = v
-				}
+				core.MeasureRow(t.Values[lo+i], f, o.norm, &products[blo+b])
 			}
 			if each != nil {
 				each(lo, t.Values[lo:hi])
@@ -720,38 +715,40 @@ func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each fun
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	foldSet(t, ms, slab, offers)
+	foldSet(t, slab, products)
 	return t, nil
 }
 
-// foldSet fills t.Set from the finished row-major slab. Summing
-// column j in offer order from +0 repeats the additions of the
-// measures' summation SetValue exactly, and an offer whose value
-// failed is NaN in its row, so the sum is NaN where SetValue would
-// fail: the fold is bit-identical to m.SetValue without evaluating any
-// measure a second time. The relative area measure averages the sum;
-// the assignments measure needs the exact counts rather than their
-// rounded row values, so it keeps its own SetValue.
-func foldSet(t *MeasureTable, ms []Measure, slab []float64, offers []*FlexOffer) {
-	w := len(ms)
+// foldSet fills t.Set from the finished row-major slab and the
+// blocks' assignments products. Summing column j in offer order from
+// +0 repeats the additions of the measures' summation SetValue
+// exactly, and an offer whose value failed is NaN in its row, so the
+// sum is NaN where SetValue would fail: the fold is bit-identical to
+// m.SetValue without evaluating any measure a second time. The sums
+// stay serial because float addition in another order could round
+// differently. The relative area measure averages its sum; the
+// assignments measure is the merged exact product, in O(blocks). An
+// empty fleet has no set values (ErrEmptySet): every cell is NaN.
+func foldSet(t *MeasureTable, slab []float64, products []core.AssignmentsProduct) {
+	w := len(t.Set)
+	n := len(slab) / w
+	if n == 0 {
+		for j := range t.Set {
+			t.Set[j] = math.NaN()
+		}
+		return
+	}
 	for lo := 0; lo < len(slab); lo += w {
 		for j, v := range slab[lo : lo+w] {
 			t.Set[j] += v
 		}
 	}
-	for j, m := range ms {
-		if _, exact := m.(core.AssignmentsMeasure); exact || len(offers) == 0 {
-			v, err := m.SetValue(offers)
-			if err != nil {
-				v = math.NaN()
-			}
-			t.Set[j] = v
-			continue
-		}
-		if _, avg := m.(core.RelativeAreaMeasure); avg {
-			t.Set[j] /= float64(len(offers))
-		}
+	var p core.AssignmentsProduct
+	for i := range products {
+		p.Merge(&products[i])
 	}
+	t.Set[core.CellAssignments] = p.Value()
+	t.Set[core.CellRelativeArea] /= float64(n)
 }
 
 // MeasuresRouted is Measures over pre-routed parts, flattened back

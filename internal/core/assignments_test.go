@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"flexmeasures/internal/core"
@@ -192,5 +193,87 @@ func BenchmarkAssignmentsSetValue50k(b *testing.B) {
 		if _, err := (core.AssignmentsMeasure{}).SetValue(fs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAssignmentsFoldSplitMatchesSetValue pins the mergeable product:
+// any split of a fleet into contiguous blocks, each folded on its own
+// with Add (some of them empty) and merged in any order, equals
+// SetValue and the naive product, Float64bits-exact — over zero,
+// negative (mixed-sign), wide and overflowing counts and around the
+// 2^1024 boundary.
+func TestAssignmentsFoldSplitMatchesSetValue(t *testing.T) {
+	pow63 := countOffer(1, 1<<62-1)
+	wide := countOffer(0, append([]int64{1<<31 - 1}, repeat64(1<<62-1, 16)...)...) // 2^1023
+	rng := rand.New(rand.NewSource(24))
+	mixed, err := workload.Population(rng, 500, 2, workload.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleets := map[string][]*flexoffer.FlexOffer{
+		"one":                 {countOffer(3, 2, 4)},
+		"all ones":            repeat(countOffer(0, 0, 0), 50),
+		"zero count":          {countOffer(3, 5), countOffer(2, -1, 7), pow63, countOffer(1, -3)},
+		"zero after overflow": append(repeat(pow63, 40), countOffer(1, -1)),
+		"negative counts":     {countOffer(3, -5), countOffer(2, -3), countOffer(1, 9), countOffer(0, -2)},
+		"two negatives":       {countOffer(3, -5), countOffer(1, 9), countOffer(2, -3), countOffer(0, 4)},
+		"negative overflow":   append(repeat(pow63, 20), countOffer(0, -3)),
+		"positive overflow":   append(append(repeat(pow63, 10), countOffer(0, -3)), append(repeat(pow63, 10), countOffer(0, -2))...),
+		"wide counts":         {countOffer(2, math.MaxInt64-1, 1), countOffer(0, 1<<53, 1<<32-1, 1<<32-1), countOffer(4, 6)},
+		"2^1023 alone":        {wide},
+		"2^1023 by parts":     append(repeat(pow63, 16), countOffer(1, 1<<14-1)),
+		"2^1024":              repeat(countOffer(1, 1<<31-1), 32),
+		"2^1024 from 2^1023":  {wide, countOffer(1)},
+		"MaxFloat64 edge":     append([]*flexoffer.FlexOffer{countOffer(0, 1<<54-2)}, repeat(countOffer(1), 970)...),
+		"below the edge":      append([]*flexoffer.FlexOffer{countOffer(0, 1<<62-258)}, repeat(countOffer(1), 962)...),
+		"DefaultMix":          mixed,
+		"DefaultMix and negative": append(append(append([]*flexoffer.FlexOffer(nil), mixed[:200]...),
+			countOffer(0, -2)), mixed[200:]...),
+	}
+	for name, fs := range fleets {
+		want, err := core.AssignmentsMeasure{}.SetValue(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if naive := naiveAssignmentsSetValue(fs); math.Float64bits(want) != math.Float64bits(naive) {
+			t.Fatalf("%s: SetValue = %v, naive product = %v", name, want, naive)
+		}
+		for trial := 0; trial < 40; trial++ {
+			// Cut points with repeats, so some blocks are empty.
+			k := 1 + rng.Intn(12)
+			cuts := []int{0, len(fs)}
+			for i := 1; i < k; i++ {
+				cuts = append(cuts, rng.Intn(len(fs)+1))
+			}
+			sort.Ints(cuts)
+			blocks := make([]core.AssignmentsProduct, len(cuts)-1)
+			for b := range blocks {
+				for _, f := range fs[cuts[b]:cuts[b+1]] {
+					blocks[b].Add(f)
+				}
+			}
+			var got core.AssignmentsProduct
+			for _, b := range rng.Perm(len(blocks)) {
+				got.Merge(&blocks[b])
+			}
+			if v := got.Value(); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s: blocks %v merged = %v (%#x), SetValue = %v (%#x)",
+					name, cuts, v, math.Float64bits(v), want, math.Float64bits(want))
+			}
+			// Merging into a non-empty block, as a fold over the
+			// blocks without a fresh accumulator does.
+			first := blocks[0]
+			for _, b := range blocks[1:] {
+				first.Merge(&b)
+			}
+			if v := first.Value(); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s: blocks %v folded into the first = %v, SetValue = %v", name, cuts, v, want)
+			}
+		}
+	}
+	var empty core.AssignmentsProduct
+	empty.Merge(&core.AssignmentsProduct{})
+	if v := empty.Value(); v != 1 {
+		t.Errorf("empty product = %v, want 1", v)
 	}
 }

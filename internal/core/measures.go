@@ -172,13 +172,13 @@ func AssignmentFlexibility(f *flexoffer.FlexOffer) *big.Int {
 // (32 for f6) are obtainable, and the measure's declared characteristics
 // (Table 1) mark mixed offers as not captured.
 func AbsoluteAreaFlexibility(f *flexoffer.FlexOffer) int64 {
-	area := grid.UnionAreaSize(f)
+	return areaFlexibility(f, grid.UnionAreaSize(f))
+}
+
+// areaFlexibility is Definition 10 given f's union area size.
+func areaFlexibility(f *flexoffer.FlexOffer, area int64) int64 {
 	if f.Kind() == flexoffer.Negative {
-		cmax := f.TotalMax
-		if cmax < 0 {
-			cmax = -cmax
-		}
-		return area - cmax
+		return area - abs64(f.TotalMax)
 	}
 	return area - f.TotalMin
 }
@@ -192,11 +192,17 @@ func AbsoluteAreaFlexibility(f *flexoffer.FlexOffer) int64 {
 // size-independent measure for comparing flex-offers of different energy
 // magnitudes.
 func RelativeAreaFlexibility(f *flexoffer.FlexOffer) (float64, error) {
+	return relativeArea(f, AbsoluteAreaFlexibility(f))
+}
+
+// relativeArea is Definition 11 given f's absolute area-based
+// flexibility.
+func relativeArea(f *flexoffer.FlexOffer, abs int64) (float64, error) {
 	den := abs64(f.TotalMin) + abs64(f.TotalMax)
 	if den == 0 {
 		return 0, ErrZeroTotals
 	}
-	return 2 * float64(AbsoluteAreaFlexibility(f)) / float64(den), nil
+	return 2 * float64(abs) / float64(den), nil
 }
 
 // DisplacementFlexibility is an extension beyond the paper (Section 6
