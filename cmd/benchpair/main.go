@@ -10,7 +10,7 @@
 // in a second directory:
 //
 //	git clone -q . /tmp/parent && git -C /tmp/parent checkout -q HEAD~1
-//	go run ./cmd/benchpair -base /tmp/parent -head . -label pr24 \
+//	go run ./cmd/benchpair -base /tmp/parent -head . -label mychange \
 //	    -workloads ingest-steady -pairs 10 -seconds 20
 //
 // Pair i runs seed -seed+i on both sides, the parent first in even
@@ -211,12 +211,7 @@ func machine(dir string) machineInfo {
 
 // checkout identifies the commit checked out in dir.
 func checkout(dir string) checkoutInfo {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		abs = dir
-	}
 	return checkoutInfo{
-		Dir:    abs,
 		Commit: output(dir, "git", "rev-parse", "HEAD"),
 		Dirty:  output(dir, "git", "status", "--porcelain", "--untracked-files=no") != "",
 	}

@@ -22,10 +22,9 @@ type machineInfo struct {
 	OSArch   string `json:"os_arch"`
 }
 
-// checkoutInfo identifies one side: its directory and commit, and
-// whether tracked files differed from the commit.
+// checkoutInfo identifies one side: its commit, and whether tracked
+// files differed from it.
 type checkoutInfo struct {
-	Dir    string `json:"dir"`
 	Commit string `json:"commit"`
 	Dirty  bool   `json:"dirty"`
 }

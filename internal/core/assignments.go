@@ -32,11 +32,7 @@ type AssignmentsProduct struct {
 }
 
 // Add multiplies f's Definition 8 count into the product.
-func (a *AssignmentsProduct) Add(f *flexoffer.FlexOffer) {
-	var c offerCount
-	c.set(f)
-	a.add(&c)
-}
+func (a *AssignmentsProduct) Add(f *flexoffer.FlexOffer) { assignmentCount(f, a) }
 
 // Merge multiplies b's product into a's.
 func (a *AssignmentsProduct) Merge(b *AssignmentsProduct) {
@@ -67,6 +63,55 @@ func (a *AssignmentsProduct) Value() float64 {
 	return v
 }
 
+// assignmentCount is the float64 nearest to f's Definition 8 count,
+// ties to even — what big.Float's SetInt(count).Float64() returns —
+// and, when acc is non-nil, multiplies the exact count into acc.
+// Counts of positive factors below 2^64, every realistic offer's, are
+// formed in one word; any other count is formed factor by factor.
+func assignmentCount(f *flexoffer.FlexOffer, acc *AssignmentsProduct) float64 {
+	if n, ok := smallCount(f); ok {
+		if acc != nil {
+			acc.addWord(n)
+		}
+		return float64(n)
+	}
+	var c offerCount
+	c.set(f)
+	if acc != nil {
+		acc.add(&c)
+	}
+	return c.float64()
+}
+
+// smallCount is f's count when every factor is positive and the count
+// is below 2^64; ok is false otherwise.
+func smallCount(f *flexoffer.FlexOffer) (n uint64, ok bool) {
+	t := int64(f.TimeFlexibility() + 1)
+	if t <= 0 {
+		return 0, false
+	}
+	n = uint64(t)
+	for _, s := range f.Slices {
+		k := s.Span() + 1
+		if k <= 0 {
+			return 0, false
+		}
+		hi, lo := bits.Mul64(n, uint64(k))
+		if hi != 0 {
+			return 0, false
+		}
+		n = lo
+	}
+	return n, true
+}
+
+// addWord multiplies the count n ≥ 1 into the product.
+func (a *AssignmentsProduct) addWord(n uint64) {
+	if a.exp += bits.Len64(n) - 1; a.exp < overflowExp {
+		a.mul([]uint64{n})
+	}
+}
+
 // add multiplies the count c into the product.
 func (a *AssignmentsProduct) add(c *offerCount) {
 	if c.zero {
@@ -92,17 +137,7 @@ func (a *AssignmentsProduct) mul(x []uint64) {
 		return
 	}
 	if len(x) == 1 {
-		var carry uint64
-		for i, w := range a.p[:a.n] {
-			hi, lo := bits.Mul64(w, x[0])
-			var cc uint64
-			a.p[i], cc = bits.Add64(lo, carry, 0)
-			carry = hi + cc
-		}
-		if carry != 0 {
-			a.p[a.n] = carry
-			a.n++
-		}
+		a.n, _ = mulWord(a.p[:], a.n, x[0]) // fits: see above
 		return
 	}
 	var t [2 * len(a.p)]uint64
@@ -146,12 +181,6 @@ func (c *offerCount) set(f *flexoffer.FlexOffer) {
 
 // factor multiplies c by k.
 func (c *offerCount) factor(k int64) {
-	if k > 0 && c.mag.n == 1 {
-		if hi, lo := bits.Mul64(c.mag.w[0], uint64(k)); hi == 0 {
-			c.mag.w[0] = lo
-			return
-		}
-	}
 	m := uint64(k)
 	switch {
 	case k == 0:
@@ -166,8 +195,7 @@ func (c *offerCount) factor(k int64) {
 	}
 }
 
-// float64 is the float64 nearest to the count, ties to even: what
-// AssignmentsMeasure.Value returns.
+// float64 is the float64 nearest to the count, ties to even.
 func (c *offerCount) float64() float64 {
 	var v float64
 	switch {
@@ -195,21 +223,30 @@ type wideCount struct {
 // mul multiplies c by k ≥ 1, reporting false when the product reaches
 // 2^1024.
 func (c *wideCount) mul(k uint64) bool {
+	n, ok := mulWord(c.w[:], c.n, k)
+	c.n = n
+	return ok
+}
+
+// mulWord multiplies the little-endian words w[:n] by k ≥ 1 in place
+// and returns the product's length in words; ok is false when the
+// product needs more than len(w) words, which are then not all held.
+func mulWord(w []uint64, n int, k uint64) (int, bool) {
 	var carry uint64
-	for i := 0; i < c.n; i++ {
-		hi, lo := bits.Mul64(c.w[i], k)
+	for i := range w[:n] {
+		hi, lo := bits.Mul64(w[i], k)
 		var cc uint64
-		c.w[i], cc = bits.Add64(lo, carry, 0)
+		w[i], cc = bits.Add64(lo, carry, 0)
 		carry = hi + cc
 	}
-	if carry != 0 {
-		if c.n == len(c.w) {
-			return false
-		}
-		c.w[c.n] = carry
-		c.n++
+	if carry == 0 {
+		return n, true
 	}
-	return true
+	if n == len(w) {
+		return n, false
+	}
+	w[n] = carry
+	return n + 1, true
 }
 
 // bitLen is the magnitude's length in bits.

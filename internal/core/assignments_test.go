@@ -216,17 +216,19 @@ func TestAssignmentsFoldSplitMatchesSetValue(t *testing.T) {
 		"zero count":          {countOffer(3, 5), countOffer(2, -1, 7), pow63, countOffer(1, -3)},
 		"zero after overflow": append(repeat(pow63, 40), countOffer(1, -1)),
 		"negative counts":     {countOffer(3, -5), countOffer(2, -3), countOffer(1, 9), countOffer(0, -2)},
-		"two negatives":       {countOffer(3, -5), countOffer(1, 9), countOffer(2, -3), countOffer(0, 4)},
-		"negative overflow":   append(repeat(pow63, 20), countOffer(0, -3)),
-		"positive overflow":   append(append(repeat(pow63, 10), countOffer(0, -3)), append(repeat(pow63, 10), countOffer(0, -2))...),
-		"wide counts":         {countOffer(2, math.MaxInt64-1, 1), countOffer(0, 1<<53, 1<<32-1, 1<<32-1), countOffer(4, 6)},
-		"2^1023 alone":        {wide},
-		"2^1023 by parts":     append(repeat(pow63, 16), countOffer(1, 1<<14-1)),
-		"2^1024":              repeat(countOffer(1, 1<<31-1), 32),
-		"2^1024 from 2^1023":  {wide, countOffer(1)},
-		"MaxFloat64 edge":     append([]*flexoffer.FlexOffer{countOffer(0, 1<<54-2)}, repeat(countOffer(1), 970)...),
-		"below the edge":      append([]*flexoffer.FlexOffer{countOffer(0, 1<<62-258)}, repeat(countOffer(1), 962)...),
-		"DefaultMix":          mixed,
+		"zero time factor after overflow": append(repeat(pow63, 40),
+			&flexoffer.FlexOffer{EarliestStart: 3, LatestStart: 2, Slices: []flexoffer.Slice{{Min: 0, Max: 4}}}),
+		"two negatives":      {countOffer(3, -5), countOffer(1, 9), countOffer(2, -3), countOffer(0, 4)},
+		"negative overflow":  append(repeat(pow63, 20), countOffer(0, -3)),
+		"positive overflow":  append(append(repeat(pow63, 10), countOffer(0, -3)), append(repeat(pow63, 10), countOffer(0, -2))...),
+		"wide counts":        {countOffer(2, math.MaxInt64-1, 1), countOffer(0, 1<<53, 1<<32-1, 1<<32-1), countOffer(4, 6)},
+		"2^1023 alone":       {wide},
+		"2^1023 by parts":    append(repeat(pow63, 16), countOffer(1, 1<<14-1)),
+		"2^1024":             repeat(countOffer(1, 1<<31-1), 32),
+		"2^1024 from 2^1023": {wide, countOffer(1)},
+		"MaxFloat64 edge":    append([]*flexoffer.FlexOffer{countOffer(0, 1<<54-2)}, repeat(countOffer(1), 970)...),
+		"below the edge":     append([]*flexoffer.FlexOffer{countOffer(0, 1<<62-258)}, repeat(countOffer(1), 962)...),
+		"DefaultMix":         mixed,
 		"DefaultMix and negative": append(append(append([]*flexoffer.FlexOffer(nil), mixed[:200]...),
 			countOffer(0, -2)), mixed[200:]...),
 	}

@@ -267,9 +267,7 @@ func (AssignmentsMeasure) Name() string { return "assignments" }
 // The count is formed on fixed words and rounded to nearest even,
 // without allocating.
 func (AssignmentsMeasure) Value(f *flexoffer.FlexOffer) (float64, error) {
-	var c offerCount
-	c.set(f)
-	return c.float64(), nil
+	return assignmentCount(f, nil), nil
 }
 
 // SetValue implements Measure by "counting the number of possible

@@ -42,10 +42,7 @@ func MeasureRow(row []float64, f *flexoffer.FlexOffer, n timeseries.Norm, acc *A
 	row[CellProduct] = float64(ProductFlexibility(f))
 	row[CellVector] = orNaN(VectorFlexibility(f).Norm(n))
 	row[CellSeries] = orNaN(AlignedSeriesFlexibility(f, n))
-	var c offerCount
-	c.set(f)
-	row[CellAssignments] = c.float64()
-	acc.add(&c)
+	row[CellAssignments] = assignmentCount(f, acc)
 	abs := areaFlexibility(f, grid.UnionAreaSize(f))
 	row[CellAbsoluteArea] = float64(abs)
 	row[CellRelativeArea] = orNaN(relativeArea(f, abs))

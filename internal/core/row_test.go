@@ -99,6 +99,7 @@ func TestMeasureRowMatchesMeasures(t *testing.T) {
 		countOffer(2, -1, 7),
 		countOffer(3, -3, 5),
 		{EarliestStart: 5, LatestStart: 1, Slices: []flexoffer.Slice{sl(0, 2)}},
+		{EarliestStart: 3, LatestStart: 2, Slices: []flexoffer.Slice{sl(0, 4)}},
 		{EarliestStart: 0, LatestStart: 1, Slices: []flexoffer.Slice{sl(math.MinInt64, math.MaxInt64), sl(math.MaxInt64, math.MinInt64)}},
 		// Counts above 2^64, at 2^1023, and at 2^1024 (+Inf).
 		countOffer(2, math.MaxInt64-1, 1),
