@@ -172,7 +172,7 @@ func BenchmarkSchedule500(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulePipeline1000 measures the streaming
+// BenchmarkSchedulePipeline1000 measures the stateless
 // group→aggregate→schedule→disaggregate chain end to end through
 // Engine.Pipeline; compare the shards=S/workers=N sub-benchmarks on
 // multi-core hardware.

@@ -13,7 +13,7 @@
 //	flexctl aggregate -workers 8 offers.json # same, aggregating groups in parallel
 //	flexctl schedule -horizon 72 offers.json # greedy schedule vs. flat target
 //	flexctl schedule -pipeline -workers 8 offers.json
-//	                                         # streaming group→aggregate→schedule→disaggregate
+//	                                         # group→aggregate→schedule→disaggregate
 //	flexctl schedule -pipeline -json offers.json
 //	                                         # emit the flexd wire format (bit-identical to POST /v1/schedule)
 //	flexctl push -url http://host:8080 offers.ndjson
@@ -375,7 +375,7 @@ func cmdSchedule(args []string, out io.Writer) error {
 	horizon := fs.Int("horizon", 48, "scheduling horizon in time units")
 	level := fs.Int64("target", -1, "flat target level per slot (-1: fleet average)")
 	cap := fs.Int64("cap", 0, "soft peak cap (0: uncapped)")
-	pipeline := fs.Bool("pipeline", false, "stream group→aggregate→schedule→disaggregate instead of scheduling raw offers")
+	pipeline := fs.Bool("pipeline", false, "run group→aggregate→schedule→disaggregate instead of scheduling raw offers")
 	asJSON := fs.Bool("json", false, "emit the flexd wire format instead of the summary (with -pipeline)")
 	workers := fs.Int("workers", 0, "pipeline worker-pool size (with -pipeline; 0: one per CPU)")
 	shards := fs.Int("shards", 1, "engine shard count: >1 scatter-gathers across per-shard pools (bit-identical output)")

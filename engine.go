@@ -34,11 +34,12 @@ import (
 // order bit for bit, because sequence order is store order — the
 // merged run is greedily packed (segmented in parallel at the EST-gap
 // cuts), per-group aggregation fans out across the shard pools in
-// contiguous blocks streamed into the global greedy scheduler, and
-// disaggregation fans back out the same way. The output is therefore
-// bit-identical to the serial chain over the same population for every
-// shard count, worker count and routing key — the property test in
-// sharded_test.go pins this against the stateless serial oracle.
+// contiguous blocks, the global greedy scheduler places the aggregates
+// in group order, and disaggregation fans back out the same way. The
+// output is therefore bit-identical to the serial chain over the same
+// population for every shard count, worker count and routing key — the
+// property test in sharded_test.go pins this against the stateless
+// serial oracle.
 //
 // One option set governs every method: WithPeakCap, for example,
 // applies to Schedule and Pipeline alike, so the same cap can never
@@ -142,9 +143,9 @@ func WithGrouper(g Grouper) Option {
 }
 
 // WithPlacement selects the greedy scheduler's placement order for
-// Schedule and Pipeline. Pipeline streams placements and therefore
-// supports OrderArrival only; other orders make it fail with
-// sched.ErrStreamOrder. The default is OrderArrival.
+// Schedule and Pipeline. Pipeline places the aggregates in group order
+// and therefore supports OrderArrival only; other orders make it fail
+// with sched.ErrStreamOrder. The default is OrderArrival.
 func WithPlacement(order ScheduleOrder) Option {
 	return func(o *engineOptions) { o.placement = order }
 }
@@ -185,7 +186,7 @@ func WithPeakCap(cap int64) Option {
 // this); the stateless path remains the oracle. Incremental runs
 // serialize on the engine's cache; the stateless stages still fan out
 // across the worker pools. Only OrderArrival placement is supported,
-// exactly like the streaming pipeline.
+// exactly like the stateless pipeline.
 //
 // With the built-in grouping, incremental calls also carry the grouping
 // order across calls: a call diffs each part against the previous
@@ -482,29 +483,22 @@ func (e *Engine) Pipeline(ctx context.Context, offers []*FlexOffer, target Serie
 // aggregate → schedule → disaggregate — over pre-routed parts as one
 // scatter-gather pipeline: per-shard sorting and per-group aggregation
 // fan out across the shard pools, the deterministic merge and the
-// greedy placement run at the gather point, and each finished
-// aggregate is placed as soon as its group index is next, so
-// aggregation of later groups overlaps placement of earlier ones. The
-// scheduled aggregates fan back out for disaggregation. The result is
-// identical to the materialized sequence Aggregate → Schedule (arrival
-// order) → Disaggregate for every configuration, and the engine's peak
-// cap applies exactly as in Schedule. Only OrderArrival placement is
-// supported (sched.ErrStreamOrder otherwise).
+// greedy placement of the aggregates in group order run at the gather
+// point, and the scheduled aggregates fan back out for
+// disaggregation. The result is identical to the sequence Aggregate →
+// Schedule (arrival order) → Disaggregate for every configuration, and
+// the engine's peak cap applies exactly as in Schedule. Only
+// OrderArrival placement is supported (sched.ErrStreamOrder otherwise).
 func (e *Engine) PipelineRouted(ctx context.Context, parts [][]RoutedOffer, target Series, opts ...Option) (*PipelineResult, error) {
 	o := e.resolve(opts)
-	// The streaming scheduler supports arrival order only; fail before
-	// grouping and aggregating a whole fleet whose schedule can never
-	// start. ScheduleStream re-checks, so the two cannot drift.
+	// Fail before grouping and aggregating a whole fleet whose schedule
+	// can never start.
 	if o.placement != OrderArrival {
 		return nil, sched.ErrStreamOrder
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Cancelling on return releases the aggregation workers if
-	// scheduling or disaggregation aborts early.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	groups, err := e.scatterGroup(ctx, parts, o, o.incremental)
 	if err != nil {
 		return nil, err
@@ -513,31 +507,25 @@ func (e *Engine) PipelineRouted(ctx context.Context, parts [][]RoutedOffer, targ
 	if o.incremental {
 		return e.pipelineIncremental(ctx, groups, target, o)
 	}
-	items, n := e.scatterAggregateStream(ctx, groups, o)
-	sr, err := sched.ScheduleStream(ctx, items, n, target, sched.Options{PeakCap: o.peakCap, Order: o.placement})
+	ags, err := e.scatterAggregateGroups(ctx, groups, o)
 	if err != nil {
 		return nil, err
 	}
-	// ScheduleStream returns once the last group is placed; the merge
-	// goroutine closes the stream (ending the parent aggregate span
-	// first) just after delivering it. Draining the already-exhausted
-	// channel waits for that close, so a finished trace never reports
-	// the aggregation stage of a successful pipeline as still running.
-	for range items {
+	offers := make([]*FlexOffer, len(ags))
+	for i, ag := range ags {
+		offers[i] = ag.Offer
 	}
-	if err := ctx.Err(); err != nil {
-		// A cancellation racing the end of the group stream could
-		// deliver a truncated-but-consistent prefix; never present one
-		// as a complete schedule.
+	sr, err := e.Schedule(ctx, offers, target, opts...)
+	if err != nil {
 		return nil, err
 	}
-	disagg, err := e.scatterDisaggregate(ctx, sr.Aggregates, sr.Assignments, o)
+	disagg, err := e.scatterDisaggregate(ctx, ags, sr.Assignments, o)
 	if err != nil {
 		return nil, err
 	}
 	return &PipelineResult{
-		Aggregates:        sr.Aggregates,
-		AggregateSchedule: &sr.Result,
+		Aggregates:        ags,
+		AggregateSchedule: sr,
 		Disaggregated:     disagg,
 		Load:              sr.Load,
 	}, nil

@@ -92,7 +92,7 @@ func TestEnginePipelineGrouperBranches(t *testing.T) {
 
 // TestEnginePlacement pins WithPlacement/WithPlacementMeasure against
 // the options-taking sched route they retire, and the documented
-// streaming restriction on Pipeline.
+// arrival-order restriction on Pipeline.
 func TestEnginePlacement(t *testing.T) {
 	offers, target := engineTestFleet(t, 120)
 	eng := New(WithWorkers(2), WithGrouping(engineTestGroup), WithSafe(true))
@@ -111,7 +111,7 @@ func TestEnginePlacement(t *testing.T) {
 			t.Fatalf("order=%v: engine placement diverged from sched options", order)
 		}
 	}
-	// The streaming pipeline supports arrival order only.
+	// The pipeline supports arrival order only.
 	if _, err := eng.Pipeline(context.Background(), offers, target,
 		WithPlacement(OrderLeastFlexibleFirst)); !errors.Is(err, sched.ErrStreamOrder) {
 		t.Fatalf("Pipeline with ranked placement returned %v, want ErrStreamOrder", err)

@@ -23,6 +23,7 @@ package aggregate
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"flexmeasures/internal/core"
 	"flexmeasures/internal/flexoffer"
@@ -186,7 +187,9 @@ func build(group []*flexoffer.FlexOffer, al Alignment, tighten bool) (*Aggregate
 	if err := agg.Validate(); err != nil {
 		return nil, fmt.Errorf("aggregate: building aggregate: %w", err)
 	}
-	agg.ID = fmt.Sprintf("agg(%d)", len(group))
+	// Not fmt.Sprintf: its printer comes from a sync.Pool, which a race
+	// build empties at random, so the allocation count would vary.
+	agg.ID = "agg(" + strconv.Itoa(len(group)) + ")"
 	ag.Offer = agg
 	ag.Constituents = make([]*flexoffer.FlexOffer, len(group))
 	copy(ag.Constituents, group)

@@ -78,28 +78,18 @@ type ParallelParams struct {
 	Pool Executor
 }
 
-// forEach runs fn(i) for every group index in [0, n) under the params'
-// execution model: the persistent pool when one is attached, otherwise
-// per-call goroutine spin-up. Results land in per-index slots, so
-// output never depends on which worker claimed which batch.
-func (pp ParallelParams) forEach(n int, fn func(int)) {
+// forEach runs fn(i) for every group index in [0, n) under the
+// params' execution model: the persistent pool when one is attached
+// (which records pool_queue spans under ctx for the helpers it
+// enlists), otherwise per-call goroutine spin-up. Results land in
+// per-index slots, so output never depends on which worker claimed
+// which batch.
+func (pp ParallelParams) forEach(ctx context.Context, n int, fn func(int)) {
 	if pp.Pool != nil {
-		pp.Pool.ForEach(n, pp.Workers, pp.BatchSize, fn)
+		pp.Pool.ForEachCtx(ctx, n, pp.Workers, pp.BatchSize, fn)
 		return
 	}
 	pool.Run(n, pp.Workers, pp.BatchSize, fn)
-}
-
-// forEachCtx is forEach with the request context threaded through, so
-// a context-aware pool records pool_queue spans for the helpers it
-// enlists. Executors that predate pool.CtxExecutor — and the
-// per-call spin-up fallback — run exactly as before.
-func (pp ParallelParams) forEachCtx(ctx context.Context, n int, fn func(int)) {
-	if ce, ok := pp.Pool.(pool.CtxExecutor); ok {
-		ce.ForEachCtx(ctx, n, pp.Workers, pp.BatchSize, fn)
-		return
-	}
-	pp.forEach(n, fn)
 }
 
 // GroupError reports the failure of one group in a batched aggregation,
@@ -199,7 +189,7 @@ func aggregateGroupsParallel(ctx context.Context, groups [][]*flexoffer.FlexOffe
 	errSlots := make([]*GroupError, n)
 	var failed atomic.Bool
 	done := ctx.Done()
-	pp.forEachCtx(ctx, n, func(i int) {
+	pp.forEach(ctx, n, func(i int) {
 		if pp.ErrorMode == FirstError && failed.Load() {
 			return
 		}
@@ -244,84 +234,6 @@ func collectFailures(errSlots []*GroupError, mode ErrorMode) error {
 	return errs
 }
 
-// StreamItem is one completed group of a streaming aggregation. Items
-// arrive in completion order, not group order; Index identifies the
-// group in grouping-output order. Exactly one of Agg and Err is set.
-type StreamItem struct {
-	// Index is the group's position in grouping-output order.
-	Index int
-	// Agg is the group's aggregate (nil when the group failed).
-	Agg *Aggregated
-	// Err reports the group's failure (nil on success).
-	Err *GroupError
-}
-
-// AggregateGroupsStream aggregates pre-computed groups concurrently
-// under pp, emitting each aggregate on the returned channel as soon as
-// its worker finishes it — the streaming counterpart of
-// AggregateGroupsParallel, for consumers (like sched.ScheduleStream)
-// that overlap their own work with aggregation instead of waiting for
-// the full batch. It returns the channel and the number of groups the
-// consumer should expect.
-//
-// The channel is buffered to the group count, so producers never block:
-// abandoning the channel mid-stream leaks no goroutines once the
-// in-flight groups finish, and cancelling ctx stops workers from
-// claiming further groups. The channel is closed when every group has
-// been aggregated, failed, or been skipped. In FirstError mode workers
-// stop claiming groups after the first failure (the failing item is
-// still delivered); in CollectAll mode every group is attempted and
-// every failure delivered.
-func AggregateGroupsStream(ctx context.Context, groups [][]*flexoffer.FlexOffer, pp ParallelParams) (<-chan StreamItem, int) {
-	return streamGroups(ctx, groups, Aggregate, pp)
-}
-
-// AggregateGroupsSafeStream is AggregateGroupsStream using AggregateSafe
-// per group (every valid aggregate assignment disaggregates).
-func AggregateGroupsSafeStream(ctx context.Context, groups [][]*flexoffer.FlexOffer, pp ParallelParams) (<-chan StreamItem, int) {
-	return streamGroups(ctx, groups, AggregateSafe, pp)
-}
-
-// streamGroups fans the groups out across the worker pool and emits
-// each result as it completes.
-func streamGroups(ctx context.Context, groups [][]*flexoffer.FlexOffer, agg func([]*flexoffer.FlexOffer) (*Aggregated, error), pp ParallelParams) (<-chan StreamItem, int) {
-	n := len(groups)
-	ch := make(chan StreamItem, n)
-	if n == 0 {
-		close(ch)
-		return ch, 0
-	}
-	done := ctx.Done()
-	// The aggregate span covers the whole fan-out; it is started here
-	// (not inside the goroutine) so it nests under the caller's span,
-	// and ended before the channel closes — defers run LIFO — so a
-	// consumer that drains the stream observes a completed span.
-	sctx, sp := obs.Start(ctx, obs.StageAggregate)
-	go func() {
-		defer close(ch)
-		defer sp.End()
-		var failed atomic.Bool
-		pp.forEachCtx(sctx, n, func(i int) {
-			if pp.ErrorMode == FirstError && failed.Load() {
-				return
-			}
-			select {
-			case <-done:
-				return
-			default:
-			}
-			ag, err := agg(groups[i])
-			if err != nil {
-				failed.Store(true)
-				ch <- StreamItem{Index: i, Err: newGroupError(i, groups[i], err)}
-				return
-			}
-			ch <- StreamItem{Index: i, Agg: ag}
-		})
-	}()
-	return ch, n
-}
-
 // DisaggregateAllParallel maps scheduled aggregate assignments back to
 // their constituents concurrently: assignments[i] must be a valid
 // assignment of ags[i].Offer, and out[i] holds one assignment per
@@ -347,7 +259,7 @@ func DisaggregateAllParallel(ctx context.Context, ags []*Aggregated, assignments
 	errSlots := make([]*GroupError, n)
 	var failed atomic.Bool
 	done := ctx.Done()
-	pp.forEachCtx(ctx, n, func(i int) {
+	pp.forEach(ctx, n, func(i int) {
 		if pp.ErrorMode == FirstError && failed.Load() {
 			return
 		}

@@ -341,10 +341,8 @@ func decodeBlock(ctx context.Context, data []byte, spans []span, recBase, lnBase
 		}
 		offers[i] = f
 	}
-	if ce, ok := p.Pool.(pool.CtxExecutor); ok {
-		ce.ForEachCtx(ctx, n, p.Workers, 0, fn)
-	} else if p.Pool != nil {
-		p.Pool.ForEach(n, p.Workers, 0, fn)
+	if p.Pool != nil {
+		p.Pool.ForEachCtx(ctx, n, p.Workers, 0, fn)
 	} else {
 		pool.Run(n, p.Workers, 0, fn)
 	}

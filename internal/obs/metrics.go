@@ -11,28 +11,32 @@ import (
 // per-stage latencies: stages run from microseconds (a pool handoff)
 // to seconds (a large schedule), so the range is wider and the floor
 // lower than the request histogram's.
-var stageBuckets = [...]float64{
+var StageBuckets = []float64{
 	0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10,
 }
 
-// StageBuckets is the bucket list in slice form for renderers.
-var StageBuckets = stageBuckets[:]
-
-// Hist is a fixed-bucket latency histogram with atomic counters,
-// shaped like the server's request histogram so the exposition
-// renderer can emit cumulative buckets at scrape time.
+// Hist is a fixed-bucket latency histogram with atomic counters, so
+// observation never takes a lock. Buckets are kept non-cumulative and
+// cumulated only by the exposition renderer at scrape time. Create one
+// with NewHist; the zero value has no buckets.
 type Hist struct {
-	counts [len(stageBuckets) + 1]atomic.Int64 // +1: +Inf overflow
+	bounds []float64
+	counts []atomic.Int64 // one per bound, then the +Inf overflow
 	sumNs  atomic.Int64
 	total  atomic.Int64
 }
 
+// NewHist returns an empty histogram over the ascending bucket upper
+// bounds, in seconds. The histogram keeps bounds; do not modify it.
+func NewHist(bounds []float64) *Hist {
+	return &Hist{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+}
+
 // Observe files one duration.
 func (h *Hist) Observe(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(StageBuckets, s)
+	i := sort.SearchFloat64s(h.bounds, d.Seconds())
 	h.counts[i].Add(1)
 	h.sumNs.Add(int64(d))
 	h.total.Add(1)
@@ -45,7 +49,7 @@ func (h *Hist) Snapshot() (counts []int64, sum float64, total int64) {
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
 	}
-	return counts, time.Duration(h.sumNs.Load()).Seconds(), h.total.Load()
+	return counts, float64(h.sumNs.Load()) / 1e9, h.total.Load()
 }
 
 // stageKey identifies one (stage, shard) histogram series. shard -1
@@ -81,7 +85,7 @@ func (m *Metrics) Observe(stage string, shard int, d time.Duration) {
 	k := stageKey{stage, shard}
 	v, ok := m.stages.Load(k)
 	if !ok {
-		v, _ = m.stages.LoadOrStore(k, &Hist{})
+		v, _ = m.stages.LoadOrStore(k, NewHist(StageBuckets))
 	}
 	v.(*Hist).Observe(d)
 }

@@ -1,8 +1,8 @@
 // Package pool provides a persistent worker pool for index-addressed
 // CPU-bound fan-out: run fn(i) for every i in [0, n) across a fixed set
 // of long-lived goroutines. It is the execution substrate of the public
-// Engine — aggregation, disaggregation and the streaming scheduler all
-// submit their group loops here instead of each spawning and tearing
+// Engine — grouping, aggregation, disaggregation and ingest decoding all
+// submit their index loops here instead of each spawning and tearing
 // down goroutines per call, so a long-running service pays the pool
 // setup cost once instead of on every request.
 //
@@ -37,22 +37,15 @@ import (
 // Executor is the index-addressed fan-out interface a *Pool provides:
 // run fn(i) for every i in [0, n) across at most workers concurrent
 // participants (0: the executor's full width), claiming batch
-// consecutive indices at a time (0: automatic batching). Packages that
-// shard work over an Engine's pool — aggregation, disaggregation,
-// ingest decoding — accept an Executor so a nil value can mean
-// "per-call goroutine spin-up" without depending on this package's
-// concrete pool.
+// consecutive indices at a time (0: automatic batching). ForEachCtx
+// additionally threads the request context through, so per-call
+// observability (the pool_queue spans measuring enqueue→start handoff
+// latency) attaches to the right trace. Packages that shard work over
+// an Engine's pool — aggregation, disaggregation, ingest decoding —
+// accept an Executor so a nil value can mean "per-call goroutine
+// spin-up" without depending on this package's concrete pool.
 type Executor interface {
 	ForEach(n, workers, batch int, fn func(int))
-}
-
-// CtxExecutor is an Executor that can additionally thread a request
-// context through the fan-out so per-call observability (the
-// pool_queue spans measuring enqueue→start handoff latency) attaches
-// to the right trace. *Pool implements it; callers type-assert and
-// fall back to plain ForEach when the executor predates it.
-type CtxExecutor interface {
-	Executor
 	ForEachCtx(ctx context.Context, n, workers, batch int, fn func(int))
 }
 

@@ -65,10 +65,9 @@ func newEvaluator(target timeseries.Series, cap int64) *evaluator {
 }
 
 // reserve pre-sizes the window and scratch buffers for the offers, so
-// placing them triggers no further growth. Streaming callers that do
-// not know the batch up front may skip this; the buffers then grow
-// amortized as offers arrive (growth happens between offers, never
-// inside the candidate loop).
+// placing them triggers no further growth. It only saves growth: an
+// evaluator that was not reserved grows its buffers amortized between
+// offers (never inside the candidate loop) and places identically.
 func (ev *evaluator) reserve(offers []*flexoffer.FlexOffer) {
 	maxK := 0
 	for _, f := range offers {
@@ -199,8 +198,8 @@ func (ev *evaluator) removeValues(start int, vals []int64) (dAbs int64) {
 
 // placeOffer validates f, places it through the evaluator and
 // materializes the winning assignment — the shared per-offer step of
-// Schedule and ScheduleStream, so the batch and streaming paths cannot
-// drift apart. idx only labels errors.
+// Schedule and the incremental replay, so the batch and replayed paths
+// cannot drift apart. idx only labels errors.
 func placeOffer(ev *evaluator, f *flexoffer.FlexOffer, idx int) (flexoffer.Assignment, error) {
 	if err := f.Validate(); err != nil {
 		return flexoffer.Assignment{}, fmt.Errorf("sched: offer %d: %w", idx, err)

@@ -27,6 +27,13 @@ import (
 var (
 	ErrNoOffers  = errors.New("sched: no offers to schedule")
 	ErrNeedsRand = errors.New("sched: OrderRandom requires a rand source")
+	// ErrStreamOrder is returned when the Scenario-1 pipeline is asked
+	// for a placement order other than OrderArrival. Incremental replay
+	// keys each placement to its group's position in grouping order, and
+	// the stateless pipeline is its oracle, so both place the aggregates
+	// in group order. Rank or shuffle the groups up front and schedule
+	// them with Schedule instead.
+	ErrStreamOrder = errors.New("sched: the pipeline supports OrderArrival only")
 )
 
 // Order selects the order in which the greedy scheduler places offers.
@@ -216,7 +223,7 @@ func betterCost(over, abs, bestOver, bestAbs int64) bool {
 // from the values alone and distributes the remainder in ascending slot
 // order, so equal inputs — regardless of scheduling order, worker count
 // or previous calls — produce identical outputs. The scheduler's
-// equivalence and streaming tests rely on this.
+// equivalence and incremental replay tests rely on this.
 func repairTotal(vals []int64, slices []flexoffer.Slice, totalMin, totalMax int64) bool {
 	var total int64
 	for _, v := range vals {

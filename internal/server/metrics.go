@@ -63,9 +63,10 @@ type metrics struct {
 	// streamed schedule copied from the one before.
 	encodedReused atomic.Int64
 	// latency[route] maps status code (int) to that (route, code)
-	// pair's latency histogram. A sync.Map because the code set is tiny
-	// and write-once: after the first request per pair, observation is
-	// one lock-free Load plus atomic adds.
+	// pair's latency histogram, an *obs.Hist over latencyBuckets. A
+	// sync.Map because the code set is tiny and write-once: after the
+	// first request per pair, observation is one lock-free Load plus
+	// atomic adds.
 	latency [numRoutes]sync.Map
 }
 
@@ -73,26 +74,9 @@ type metrics struct {
 // exponential-ish coverage from 500µs (a cheap in-memory ingest) to
 // 60s (a stalled streamed schedule), matching the server's per-write
 // timeout ceiling.
-var latencyBuckets = [...]float64{
+var latencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// latencyHist is one (route, status code) latency histogram: per-bucket
-// counts (cumulated only at render time, so observation is a single
-// atomic add), total count and summed nanoseconds. Everything atomic so
-// the hot path never takes a lock.
-type latencyHist struct {
-	buckets [len(latencyBuckets) + 1]atomic.Int64 // last bucket is +Inf
-	count   atomic.Int64
-	sumNs   atomic.Int64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	i := sort.SearchFloat64s(latencyBuckets[:], d.Seconds())
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
 }
 
 // observe records one finished request in its (route, code) histogram,
@@ -100,9 +84,9 @@ func (h *latencyHist) observe(d time.Duration) {
 func (m *metrics) observe(route, code int, d time.Duration) {
 	v, ok := m.latency[route].Load(code)
 	if !ok {
-		v, _ = m.latency[route].LoadOrStore(code, &latencyHist{})
+		v, _ = m.latency[route].LoadOrStore(code, obs.NewHist(latencyBuckets))
 	}
-	v.(*latencyHist).observe(d)
+	v.(*obs.Hist).Observe(d)
 }
 
 // handleMetrics renders the counters in the Prometheus text exposition
@@ -143,17 +127,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sort.Ints(codes)
 		for _, code := range codes {
 			v, _ := s.m.latency[i].Load(code)
-			h := v.(*latencyHist)
-			var cum int64
-			for j, le := range latencyBuckets {
-				cum += h.buckets[j].Load()
-				write("flexd_request_seconds_bucket{path=%q,code=\"%d\",le=%q} %d\n",
-					name, code, strconv.FormatFloat(le, 'g', -1, 64), cum)
-			}
-			cum += h.buckets[len(latencyBuckets)].Load()
-			write("flexd_request_seconds_bucket{path=%q,code=\"%d\",le=\"+Inf\"} %d\n", name, code, cum)
-			write("flexd_request_seconds_sum{path=%q,code=\"%d\"} %g\n", name, code, float64(h.sumNs.Load())/1e9)
-			write("flexd_request_seconds_count{path=%q,code=\"%d\"} %d\n", name, code, h.count.Load())
+			counts, sum, total := v.(*obs.Hist).Snapshot()
+			labels := fmt.Sprintf("path=%q,code=\"%d\",", name, code)
+			writeHistogram(write, "flexd_request_seconds", labels, latencyBuckets, counts, sum, total)
 		}
 	}
 
@@ -224,7 +200,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if ss.Shard >= 0 {
 			labels = fmt.Sprintf("stage=%q,shard=\"%d\",", ss.Stage, ss.Shard)
 		}
-		writeHistogram(write, "flexd_stage_seconds", labels, ss.Counts, ss.Sum, ss.Total)
+		writeHistogram(write, "flexd_stage_seconds", labels, obs.StageBuckets, ss.Counts, ss.Sum, ss.Total)
 	}
 
 	// Dedicated views of the two stages operators alert on most, summed
@@ -250,7 +226,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		write("# HELP %s %s\n", v.name, v.help)
 		write("# TYPE %s histogram\n", v.name)
-		writeHistogram(write, v.name, "", counts, sum, total)
+		writeHistogram(write, v.name, "", obs.StageBuckets, counts, sum, total)
 	}
 
 	write("# HELP flexd_offers_ingested_total Offers ingested by traced requests.\n")
@@ -293,17 +269,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("flexd_sched_pending_mutations %d\n", s.tracker.Pending())
 }
 
-// writeHistogram renders one histogram series over the stage buckets
-// from a non-cumulative bucket snapshot (see obs.Hist.Snapshot),
-// cumulating at render time like the request histograms. labels is the
-// rendered label prefix including its trailing comma, or empty.
-func writeHistogram(write func(string, ...any), name, labels string, counts []int64, sum float64, total int64) {
+// writeHistogram renders one histogram series over the bucket upper
+// bounds from a non-cumulative bucket snapshot (see obs.Hist.Snapshot),
+// cumulating at render time. labels is the rendered label prefix
+// including its trailing comma, or empty.
+func writeHistogram(write func(string, ...any), name, labels string, bounds []float64, counts []int64, sum float64, total int64) {
 	var cum int64
-	for j, le := range obs.StageBuckets {
+	for j, le := range bounds {
 		cum += counts[j]
 		write("%s_bucket{%sle=%q} %d\n", name, labels, strconv.FormatFloat(le, 'g', -1, 64), cum)
 	}
-	cum += counts[len(obs.StageBuckets)]
+	cum += counts[len(bounds)]
 	write("%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
 	if labels == "" {
 		write("%s_sum %g\n", name, sum)

@@ -65,8 +65,8 @@ func fanOut(ks []int, fn func(k int)) {
 }
 
 // scatterAggregateGroups fans per-group aggregation out across the
-// shard pools in contiguous blocks — the materialized counterpart of
-// scatterAggregateStream, shared by AggregateRouted and the incremental
+// shard pools in contiguous blocks — the aggregation stage of
+// AggregateRouted, the stateless pipeline and the incremental
 // pipeline's miss aggregation.
 func (e *Engine) scatterAggregateGroups(ctx context.Context, groups [][]*FlexOffer, o engineOptions) ([]*Aggregated, error) {
 	n := len(groups)
@@ -300,53 +300,6 @@ func sortEntries(entries []RoutedOffer, ex Executor, workers int) shard.Run {
 	return run
 }
 
-// scatterAggregateStream fans per-group aggregation out across the
-// shard pools in contiguous blocks and merges the blocks' streams
-// into one channel feeding the global scheduler, re-indexing every
-// item by its block offset. The merged channel is buffered to the
-// group count, so forwarders never block and abandoning the stream
-// mid-way leaks nothing; block producers are likewise buffered.
-func (e *Engine) scatterAggregateStream(ctx context.Context, groups [][]*FlexOffer, o engineOptions) (<-chan aggregate.StreamItem, int) {
-	n := len(groups)
-	merged := make(chan aggregate.StreamItem, n)
-	bounds := blockBounds(n, len(e.pools))
-	// One parent aggregate span covers the whole fan-out; each shard's
-	// block stream starts its own shard-labeled child. The parent ends
-	// just before the merged channel closes, so draining the stream is
-	// enough to see it completed (PipelineRouted does).
-	actx, asp := obs.Start(ctx, obs.StageAggregate)
-	var wg sync.WaitGroup
-	for k := range e.pools {
-		lo, hi := bounds[k], bounds[k+1]
-		if lo == hi {
-			continue
-		}
-		pp := e.parallelParams(k, o)
-		sctx := obs.WithShard(actx, k)
-		var items <-chan aggregate.StreamItem
-		if o.safe {
-			items, _ = aggregate.AggregateGroupsSafeStream(sctx, groups[lo:hi], pp)
-		} else {
-			items, _ = aggregate.AggregateGroupsStream(sctx, groups[lo:hi], pp)
-		}
-		wg.Add(1)
-		go func(off int, items <-chan aggregate.StreamItem) {
-			defer wg.Done()
-			for it := range items {
-				it.Index += off
-				it.Err = offsetGroupErr(it.Err, off)
-				merged <- it
-			}
-		}(lo, items)
-	}
-	go func() {
-		wg.Wait()
-		asp.End()
-		close(merged)
-	}()
-	return merged, n
-}
-
 // scatterDisaggregate fans disaggregation out across the shard pools
 // in contiguous aggregate blocks and stitches the per-constituent
 // assignments back together in aggregate order.
@@ -376,17 +329,6 @@ func (e *Engine) scatterDisaggregate(ctx context.Context, ags []*Aggregated, ass
 		return nil, err
 	}
 	return out, nil
-}
-
-// offsetGroupErr shifts a streamed group failure by its block offset so
-// the merged stream reports global group indices.
-func offsetGroupErr(err *aggregate.GroupError, off int) *aggregate.GroupError {
-	if err == nil || off == 0 {
-		return err
-	}
-	ge := *err
-	ge.Group += off
-	return &ge
 }
 
 // offsetBlockErr shifts the group indices inside a block's error by

@@ -2,6 +2,7 @@ package flex
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -181,5 +182,61 @@ func TestShardedEngineEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := se.Aggregate(ctx, offers); err == nil {
 		t.Fatal("cancelled ctx should fail aggregation")
+	}
+}
+
+// TestPipelineErrorParity: a Pipeline over two corrupted groups fails
+// identically on the stateless and the incremental engine, for one and
+// two shards. Under CollectAll both report every failed group as
+// GroupErrors; under FirstError both report the lowest-indexed group's
+// *GroupError. FirstError runs on serial engines only: a pooled shard
+// may reach the second failure first and skip the first.
+func TestPipelineErrorParity(t *testing.T) {
+	bad1, err := NewFlexOffer(0, 0, Slice{Min: 1, Max: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad2, err := NewFlexOffer(5, 5, Slice{Min: 1, Max: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad1.TotalMin, bad1.TotalMax = 10, 0
+	bad2.TotalMin, bad2.TotalMax = 10, 0
+	offers := []*FlexOffer{bad1, bad2}
+	target := timeseries.Constant(0, 24, 10)
+
+	for _, shards := range []int{1, 2} {
+		for _, workers := range []int{1, 2} {
+			for _, mode := range []ErrorMode{FirstError, CollectAll} {
+				if mode == FirstError && workers > 1 {
+					continue
+				}
+				name := fmt.Sprintf("shards=%d/workers=%d/%v", shards, workers, mode)
+				var errs [2]error
+				for i, incremental := range []bool{false, true} {
+					eng := NewSharded(shards, WithWorkers(workers), WithErrorMode(mode), WithIncremental(incremental))
+					_, errs[i] = eng.Pipeline(context.Background(), offers, target)
+					eng.Close()
+				}
+				if !reflect.DeepEqual(errs[0], errs[1]) {
+					t.Fatalf("%s: stateless error %v, incremental error %v", name, errs[0], errs[1])
+				}
+				switch mode {
+				case CollectAll:
+					ges, ok := errs[0].(GroupErrors)
+					if !ok || len(ges) != 2 || ges[0].Group != 0 || ges[1].Group != 1 {
+						t.Fatalf("%s: error %T %v, want GroupErrors for groups 0 and 1", name, errs[0], errs[0])
+					}
+				case FirstError:
+					var ge *GroupError
+					if !errors.As(errs[0], &ge) || ge.Group != 0 {
+						t.Fatalf("%s: error %T %v, want *GroupError for group 0", name, errs[0], errs[0])
+					}
+					if _, many := errs[0].(GroupErrors); many {
+						t.Fatalf("%s: FirstError reported GroupErrors: %v", name, errs[0])
+					}
+				}
+			}
+		}
 	}
 }
