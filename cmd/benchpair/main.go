@@ -209,12 +209,20 @@ func machine(dir string) machineInfo {
 	return m
 }
 
-// checkout identifies the commit checked out in dir.
+// checkout identifies the commit checked out in dir, hashes its
+// working-tree diff when tracked files differ from it, and counts its
+// Go lines over the tracked and untracked, not ignored, files.
 func checkout(dir string) checkoutInfo {
-	return checkoutInfo{
+	c := checkoutInfo{
 		Commit: output(dir, "git", "rev-parse", "HEAD"),
 		Dirty:  output(dir, "git", "status", "--porcelain", "--untracked-files=no") != "",
 	}
+	if c.Dirty {
+		c.DiffSHA256 = diffHash([]byte(output(dir, "git", "diff", "HEAD")))
+	}
+	files := output(dir, "git", "ls-files", "--cached", "--others", "--exclude-standard", "--", "*.go")
+	c.GoLines = countGoLines(os.DirFS(dir), strings.Split(files, "\n"))
+	return c
 }
 
 // output is a command's trimmed standard output, empty when it fails.

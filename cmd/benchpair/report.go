@@ -1,6 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"io/fs"
+	"path"
+	"strings"
+
 	"flexmeasures/internal/stats"
 )
 
@@ -22,11 +29,56 @@ type machineInfo struct {
 	OSArch   string `json:"os_arch"`
 }
 
-// checkoutInfo identifies one side: its commit, and whether tracked
-// files differed from it.
+// checkoutInfo identifies one side: its commit, whether tracked files
+// differed from it and, if so, a hash of the difference, and the
+// side's size in Go lines.
 type checkoutInfo struct {
 	Commit string `json:"commit"`
 	Dirty  bool   `json:"dirty"`
+	// DiffSHA256 is diffHash of the side's `git diff HEAD` when it is
+	// dirty: two runs with equal commits and hashes built the same
+	// tracked source.
+	DiffSHA256 string  `json:"diff_sha256,omitempty"`
+	GoLines    goLines `json:"go_lines"`
+}
+
+// goLines counts a side's Go source lines outside perfbench/, which is
+// its own module: Production excludes _test.go files, Total does not.
+type goLines struct {
+	Production int `json:"production"`
+	Total      int `json:"total"`
+}
+
+// diffHash is the hex SHA-256 of a working-tree diff.
+func diffHash(diff []byte) string {
+	sum := sha256.Sum256(diff)
+	return hex.EncodeToString(sum[:])
+}
+
+// countGoLines counts the lines of the .go files among paths (slash
+// separated, relative to fsys) outside perfbench/. A final line without
+// a newline counts; files that cannot be read (listed but deleted) are
+// skipped.
+func countGoLines(fsys fs.FS, paths []string) goLines {
+	var n goLines
+	for _, p := range paths {
+		if path.Ext(p) != ".go" || p == "perfbench" || strings.HasPrefix(p, "perfbench/") {
+			continue
+		}
+		data, err := fs.ReadFile(fsys, p)
+		if err != nil {
+			continue
+		}
+		lines := bytes.Count(data, []byte{'\n'})
+		if len(data) > 0 && data[len(data)-1] != '\n' {
+			lines++
+		}
+		n.Total += lines
+		if !strings.HasSuffix(p, "_test.go") {
+			n.Production += lines
+		}
+	}
+	return n
 }
 
 // pairRuns is one pair: both sides' runs of one seed.

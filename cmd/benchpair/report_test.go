@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"testing"
+	"testing/fstest"
 )
 
 // TestSideStats pins the median and quartiles to linear interpolation
@@ -112,5 +113,42 @@ func TestSummarize(t *testing.T) {
 	}
 	if m.HeadWins != 2 {
 		t.Errorf("wins = %d, want 2", m.HeadWins)
+	}
+}
+
+// TestDiffHash pins the diff hash to the SHA-256 of the diff's bytes,
+// so two reports can be matched to the same working tree.
+func TestDiffHash(t *testing.T) {
+	for diff, want := range map[string]string{
+		"":    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"abc": "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+	} {
+		if got := diffHash([]byte(diff)); got != want {
+			t.Errorf("diffHash(%q) = %s, want %s", diff, got, want)
+		}
+	}
+}
+
+// TestCountGoLines counts production and test lines on a fixed tree:
+// perfbench/ and non-Go files are left out, a last line without a
+// newline counts, and a listed file that is gone is skipped.
+func TestCountGoLines(t *testing.T) {
+	fsys := fstest.MapFS{
+		"engine.go":                {Data: []byte("package flex\n\nfunc f() {}\n")},
+		"engine_test.go":           {Data: []byte("package flex\n\nfunc TestF(t *testing.T) {}")},
+		"internal/grid/grid.go":    {Data: []byte("package grid\n")},
+		"perfbench/main.go":        {Data: []byte("package main\n\n\n")},
+		"perfbench/smoke_test.go":  {Data: []byte("package main\n")},
+		"README.md":                {Data: []byte("# flex\n\n")},
+		"internal/grid/empty.go":   {Data: nil},
+		"cmd/benchpair/report.go":  {Data: []byte("a\nb\nc\nd\n")},
+		"perfbenchmark/helpers.go": {Data: []byte("x\n")},
+	}
+	paths := []string{"engine.go", "engine_test.go", "internal/grid/grid.go", "perfbench/main.go",
+		"perfbench/smoke_test.go", "README.md", "internal/grid/empty.go", "cmd/benchpair/report.go",
+		"perfbenchmark/helpers.go", "deleted.go", ""}
+	got := countGoLines(fsys, paths)
+	if want := (goLines{Production: 3 + 1 + 4 + 1, Total: 3 + 3 + 1 + 4 + 1}); got != want {
+		t.Errorf("countGoLines = %+v, want %+v", got, want)
 	}
 }

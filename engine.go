@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"flexmeasures/internal/aggregate"
 	"flexmeasures/internal/core"
@@ -621,11 +622,38 @@ type MeasureTable struct {
 
 // Measures evaluates the paper's eight flexibility measures on every
 // offer — the vector and series measures under the engine's norm,
-// overridable per call with WithNorm — plus the set-level values. It is
-// MeasuresEach without a callback. Undefined values are reported as
-// NaN rather than failing the batch.
+// overridable per call with WithNorm — plus the set-level values. It
+// runs MeasuresEach's evaluator with each block's rows placed in the
+// table, then folds the set row block by block in offer order
+// (MeasureSetFold). Undefined values are reported as NaN rather than
+// failing the batch.
 func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Option) (*MeasureTable, error) {
-	return e.MeasuresEach(ctx, offers, nil, opts...)
+	o := e.resolve(opts)
+	const w = core.RowWidth
+	t := &MeasureTable{
+		Names:  measureNames(measureSet(o.norm)),
+		Values: make([][]float64, len(offers)),
+	}
+	slab := make([]float64, len(offers)*w)
+	for i := range t.Values {
+		t.Values[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	blocks := make([]MeasureBlock, (len(offers)+MeasuresBlock-1)/MeasuresBlock)
+	err := e.measureBlocks(ctx, offers, o.norm, func(k int) *MeasureBlock {
+		b := &blocks[k]
+		b.Lo = k * MeasuresBlock
+		b.Rows = t.Values[b.Lo:min(b.Lo+MeasuresBlock, len(offers))]
+		return b
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	var set MeasureSetFold
+	for k := range blocks {
+		set.Add(&blocks[k])
+	}
+	t.Set = set.Values()
+	return t, nil
 }
 
 // MeasureNames returns the column names Measures reports under the
@@ -645,98 +673,164 @@ func measureNames(ms []Measure) []string {
 }
 
 // MeasuresBlock is the number of offers per block of the measures
-// evaluator: MeasuresEach hands its callback the rows of offers
-// [lo, lo+MeasuresBlock), fewer in the fleet's last block.
+// evaluator: block k holds the rows of offers
+// [k·MeasuresBlock, (k+1)·MeasuresBlock), fewer in the fleet's last
+// block.
 const MeasuresBlock = 256
 
-// MeasuresEach is the measures evaluator. It touches each offer once:
-// core.MeasureRow fills the offer's row of one row-major slab of
-// len(offers)×8 values and folds its exact assignments count into its
-// block's core.AssignmentsProduct, in contiguous blocks of
-// MeasuresBlock offers fanned out across the shard pools. Each row of
-// the table is a capacity-capped view of its slab segment, so an
-// append to one row cannot overwrite the next. When each is non-nil
-// it is called on the worker that filled a block, as soon as that
-// block is done, with the block's first offer index and its rows (the
-// table's own rows, which the callback must not modify) — concurrently
-// for different blocks and in no particular order. A cancelled
-// context skips the blocks not yet started, and their callbacks. Once
-// every block is done the set-level row is folded from the slab and
-// the block products (foldSet), without reading an offer again.
-func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each func(lo int, rows [][]float64), opts ...Option) (*MeasureTable, error) {
-	o := e.resolve(opts)
+// MeasureBlock is one evaluated block of the measures evaluator: the
+// rows of MeasuresBlock consecutive offers and the block's share of
+// the assignments measure's set product.
+type MeasureBlock struct {
+	// Lo is the index of the block's first offer.
+	Lo int
+	// Rows[i] holds offer Lo+i's eight measures in Table 1 column
+	// order, NaN where undefined; each row is capacity-capped.
+	Rows [][]float64
+	// product is the exact product of the block's Definition 8 counts.
+	product core.AssignmentsProduct
+	// cells backs Rows in a recycled block; nil in a table's block.
+	cells []float64
+}
+
+// touch reads each offer's totals and its first slice. The loads are
+// independent of each other, so the CPU overlaps their cache misses;
+// MeasureRow, which chases the same pointers one offer at a time,
+// then finds them in cache. A fleet re-submitted offer by offer sits
+// scattered over the heap, where those misses dominate a row. It is
+// not inlined, so the loads survive though callers drop the sum.
+//
+//go:noinline
+func touch(offers []*FlexOffer) int64 {
+	var sum int64
+	for _, f := range offers {
+		sum += f.TotalMax + int64(f.EarliestStart)
+		if n := len(f.Slices); n > 0 {
+			sum += f.Slices[0].Max + f.Slices[n-1].Min
+		}
+	}
+	return sum
+}
+
+// measureBlockPool recycles MeasuresEach's blocks, rows and cells
+// together, across calls.
+var measureBlockPool = sync.Pool{New: func() any {
+	const w = core.RowWidth
+	b := &MeasureBlock{cells: make([]float64, MeasuresBlock*w), Rows: make([][]float64, MeasuresBlock)}
+	for i := range b.Rows {
+		b.Rows[i] = b.cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return b
+}}
+
+// Release hands a block that MeasuresEach passed to its callback back
+// for reuse by later calls. Neither the block nor its rows may be used
+// afterwards. Releasing is optional: an unreleased block is garbage.
+func (b *MeasureBlock) Release() {
+	if b.cells == nil {
+		return
+	}
+	b.Rows = b.Rows[:MeasuresBlock]
+	measureBlockPool.Put(b)
+}
+
+// MeasuresEach is the measures evaluator behind GET /v1/measures. It
+// touches each offer once: core.MeasureRow fills the offer's row and
+// folds its exact assignments count into its block's product, in
+// contiguous blocks of MeasuresBlock offers fanned out across the
+// shard pools. Each block is a recycled MeasureBlock, handed to each
+// on the worker that filled it as soon as it is done — concurrently
+// for different blocks and in no particular order. The callback owns
+// the block from then on: it adds it to a MeasureSetFold in offer
+// order to get the set row, and may Release it once done with it, so
+// a call allocates O(blocks), not O(offers). A cancelled context
+// skips the blocks not yet started, and their callbacks, and is
+// reported as the error.
+func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each func(*MeasureBlock), opts ...Option) error {
+	return e.measureBlocks(ctx, offers, e.resolve(opts).norm, func(k int) *MeasureBlock {
+		b := measureBlockPool.Get().(*MeasureBlock)
+		b.Lo = k * MeasuresBlock
+		b.Rows = b.Rows[:min(MeasuresBlock, len(offers)-b.Lo)]
+		b.product = core.AssignmentsProduct{}
+		return b
+	}, each)
+}
+
+// measureBlocks evaluates every block k of offers into block(k) on the
+// shard pools, then passes it to each (when non-nil). Every participant
+// of every pool claims the next block from one shared cursor, so blocks
+// finish close to offer order and an in-order consumer holds only a
+// few of them at a time.
+func (e *Engine) measureBlocks(ctx context.Context, offers []*FlexOffer, n Norm, block func(k int) *MeasureBlock, each func(*MeasureBlock)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	_, sp := obs.Start(ctx, obs.StageMeasures)
 	defer sp.End()
-	const w = core.RowWidth
-	t := &MeasureTable{
-		Names:  measureNames(measureSet(o.norm)),
-		Values: make([][]float64, len(offers)),
-		Set:    make([]float64, w),
-	}
-	slab := make([]float64, len(offers)*w)
-	for i := range t.Values {
-		t.Values[i] = slab[i*w : (i+1)*w : (i+1)*w]
-	}
 	done := ctx.Done()
-	blocks := (len(offers) + MeasuresBlock - 1) / MeasuresBlock
-	products := make([]core.AssignmentsProduct, blocks)
-	e.forBlocks(blocks, func(k, blo, bhi int) {
-		e.runIndexed(k, bhi-blo, func(b int) {
+	var next atomic.Int64
+	e.forBlocks((len(offers)+MeasuresBlock-1)/MeasuresBlock, func(k, blo, bhi int) {
+		e.runIndexed(k, bhi-blo, func(int) {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			lo := (blo + b) * MeasuresBlock
-			hi := min(lo+MeasuresBlock, len(offers))
-			for i, f := range offers[lo:hi] {
-				core.MeasureRow(t.Values[lo+i], f, o.norm, &products[blo+b])
+			b := block(int(next.Add(1) - 1))
+			part := offers[b.Lo : b.Lo+len(b.Rows)]
+			touch(part)
+			for j, row := range b.Rows {
+				core.MeasureRow(row, part[j], n, &b.product)
 			}
 			if each != nil {
-				each(lo, t.Values[lo:hi])
+				each(b)
 			}
 		})
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	foldSet(t, slab, products)
-	return t, nil
+	return ctx.Err()
 }
 
-// foldSet fills t.Set from the finished row-major slab and the
-// blocks' assignments products. Summing column j in offer order from
+// MeasureSetFold folds the set-level row of a measure table from its
+// blocks, added in offer order. Summing column j in offer order from
 // +0 repeats the additions of the measures' summation SetValue
 // exactly, and an offer whose value failed is NaN in its row, so the
 // sum is NaN where SetValue would fail: the fold is bit-identical to
 // m.SetValue without evaluating any measure a second time. The sums
-// stay serial because float addition in another order could round
+// are ordered because float addition in another order could round
 // differently. The relative area measure averages its sum; the
-// assignments measure is the merged exact product, in O(blocks). An
-// empty fleet has no set values (ErrEmptySet): every cell is NaN.
-func foldSet(t *MeasureTable, slab []float64, products []core.AssignmentsProduct) {
-	w := len(t.Set)
-	n := len(slab) / w
-	if n == 0 {
-		for j := range t.Set {
-			t.Set[j] = math.NaN()
+// assignments measure is the merged exact block products. The zero
+// value is the fold of no blocks.
+type MeasureSetFold struct {
+	sum [core.RowWidth]float64
+	n   int
+	p   core.AssignmentsProduct
+}
+
+// Add folds in the next block in offer order.
+func (s *MeasureSetFold) Add(b *MeasureBlock) {
+	for _, row := range b.Rows {
+		for j, v := range row[:core.RowWidth] {
+			s.sum[j] += v
 		}
-		return
 	}
-	for lo := 0; lo < len(slab); lo += w {
-		for j, v := range slab[lo : lo+w] {
-			t.Set[j] += v
+	s.n += len(b.Rows)
+	s.p.Merge(&b.product)
+}
+
+// Values returns the set row of the blocks added so far. An empty
+// fleet has no set values (ErrEmptySet): every cell is NaN.
+func (s *MeasureSetFold) Values() []float64 {
+	set := make([]float64, core.RowWidth)
+	if s.n == 0 {
+		for j := range set {
+			set[j] = math.NaN()
 		}
+		return set
 	}
-	var p core.AssignmentsProduct
-	for i := range products {
-		p.Merge(&products[i])
-	}
-	t.Set[core.CellAssignments] = p.Value()
-	t.Set[core.CellRelativeArea] /= float64(n)
+	copy(set, s.sum[:])
+	set[core.CellAssignments] = s.p.Value()
+	set[core.CellRelativeArea] /= float64(s.n)
+	return set
 }
 
 // MeasuresRouted is Measures over pre-routed parts, flattened back

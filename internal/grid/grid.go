@@ -149,28 +149,122 @@ func ColumnBounds(f *flexoffer.FlexOffer, t int) (lo, hi int64, ok bool) {
 // Because every assignment's area is anchored at the time axis, the
 // covered cells in a column t form the contiguous bands
 // [0, max amax) above the axis and [min amin, 0) below it, where the
-// extremes range over the slices that can occupy t. The sweep therefore
-// needs only the per-column bounds.
+// extremes range over the slices that can occupy t (ColumnBounds). The
+// size sums those bands over the column runs of eachColumnRun, inlined
+// here because typical offers hold a handful of slices and a call per
+// column would cost as much as the sum. It is O(s) for s slices
+// whatever the time flexibility: the plateau of columns every slice
+// can reach is one product, and int64 sums wrap around exactly as
+// column-by-column addition would.
 //
 // Like Definition 8, the joint area follows the paper in ignoring the
 // total energy constraints when sweeping slice ranges (the paper's f4/f5
 // examples pin totals to a constant, which leaves slice ranges as the
 // sole source of area).
 func UnionAreaSize(f *flexoffer.FlexOffer) int64 {
+	sl := f.Slices
+	s, tf := len(sl), f.LatestStart-f.EarliestStart
+	if s == 0 || tf < 0 || f.LatestEnd() <= f.EarliestStart {
+		return 0
+	}
 	var total int64
-	for t := f.EarliestStart; t < f.LatestEnd(); t++ {
-		lo, hi, ok := ColumnBounds(f, t)
-		if !ok {
-			continue
-		}
+	add := func(n int, lo, hi int64) {
 		if hi > 0 {
-			total += hi
+			total += int64(n) * hi
 		}
 		if lo < 0 {
-			total -= lo
+			total -= int64(n) * lo
 		}
 	}
+	m, mm := min(tf, s-1), max(tf, s-1)
+	lo, hi := sl[0].Min, sl[0].Max
+	for u := 0; u < m; u++ {
+		lo, hi = min(lo, sl[u].Min), max(hi, sl[u].Max)
+		add(1, lo, hi)
+	}
+	switch w := tf + 1; {
+	case tf >= s-1:
+		for _, x := range sl[m:] {
+			lo, hi = min(lo, x.Min), max(hi, x.Max)
+		}
+		add(tf-s+2, lo, hi)
+	case w > narrowWindow && s-tf > narrowWindow:
+		eachWindow(sl, w, m, mm+1, func(_, n int, lo, hi int64) { add(n, lo, hi) })
+	default:
+		for u := m; u <= mm; u++ {
+			lo, hi := sl[u-tf].Min, sl[u-tf].Max
+			for _, x := range sl[u-tf+1 : u+1] {
+				lo, hi = min(lo, x.Min), max(hi, x.Max)
+			}
+			add(1, lo, hi)
+		}
+	}
+	lo, hi = sl[s-1].Min, sl[s-1].Max
+	for u := tf + s - 1; u > mm; u-- {
+		lo, hi = min(lo, sl[u-tf].Min), max(hi, sl[u-tf].Max)
+		add(1, lo, hi)
+	}
 	return total
+}
+
+// eachColumnRun calls visit(u, n, lo, hi) for every run of columns of
+// f whose offsets u…u+n−1 from f.EarliestStart lie in [from, to): each
+// of those columns has ColumnBounds (lo, hi). Columns no slice can
+// occupy are never visited. Runs arrive in no particular order.
+//
+// Column u can hold the slices [max(0, u−tf), min(s−1, u)] of an offer
+// with s slices and time flexibility tf, so the columns split in three:
+//   - a ramp-up, u < min(tf, s−1), bounded by the prefix extremes of
+//     slices 0…u, visited one column at a time;
+//   - a middle, min(tf, s−1) ≤ u ≤ max(tf, s−1): when tf ≥ s−1, a
+//     plateau of tf−s+2 columns that all hold every slice, visited as
+//     one run; otherwise the s−tf windows of tf+1 consecutive slices;
+//   - a ramp-down, u > max(tf, s−1), bounded by the suffix extremes of
+//     slices u−tf…s−1.
+//
+// The cost is O(s) plus one visit per ramp or window column, with no
+// term in tf beyond the clipped plateau.
+func eachColumnRun(f *flexoffer.FlexOffer, from, to int, visit func(u, n int, lo, hi int64)) {
+	sl := f.Slices
+	s, tf := len(sl), f.LatestStart-f.EarliestStart
+	// The per-column sweep visits t ∈ [tes, LatestEnd); the guard also
+	// keeps an overflowing LatestEnd from opening a column range.
+	if s == 0 || tf < 0 || f.LatestEnd() <= f.EarliestStart {
+		return
+	}
+	from = max(from, 0)
+	to = min(to, tf+s)
+	if from >= to {
+		return
+	}
+	m, mm := min(tf, s-1), max(tf, s-1)
+	// Ramp-up, extended through slice s−1 when the middle is a plateau.
+	lo, hi := sl[0].Min, sl[0].Max
+	for u := 0; u < m; u++ {
+		lo, hi = min(lo, sl[u].Min), max(hi, sl[u].Max)
+		if u >= from && u < to {
+			visit(u, 1, lo, hi)
+		}
+	}
+	if a, b := max(m, from), min(mm+1, to); a < b {
+		if tf >= s-1 {
+			for _, x := range sl[m:] {
+				lo, hi = min(lo, x.Min), max(hi, x.Max)
+			}
+			visit(a, b-a, lo, hi)
+		} else {
+			eachWindow(sl, tf+1, a, b, visit)
+		}
+	}
+	// Ramp-down: column u holds slices u−tf…s−1, so walk u downwards
+	// from the last column and extend the suffix one slice at a time.
+	lo, hi = sl[s-1].Min, sl[s-1].Max
+	for u := tf + s - 1; u > mm; u-- {
+		lo, hi = min(lo, sl[u-tf].Min), max(hi, sl[u-tf].Max)
+		if u >= from && u < to {
+			visit(u, 1, lo, hi)
+		}
+	}
 }
 
 // FeasibleBand sweeps ColumnBounds over a set of offers: for every
@@ -181,7 +275,10 @@ func UnionAreaSize(f *flexoffer.FlexOffer) int64 {
 // nothing). The band brackets every schedule the set admits, so a grid
 // operator can check a zone's worst-case import (hi) and export (lo)
 // against the feeder capacity before any dispatch is chosen; the
-// simulation harness uses it for zone-capacity stress scenarios.
+// simulation harness uses it for zone-capacity stress scenarios. Each
+// offer's columns come run by run from the same decomposition as
+// UnionAreaSize, clipped to the window, so an offer costs O(s) plus
+// its columns inside [from, to).
 //
 // Like UnionAreaSize, the sweep honours slice constraints only (total
 // energy constraints could rule out some extremes, so the band is a
@@ -193,23 +290,68 @@ func FeasibleBand(offers []*flexoffer.FlexOffer, from, to int) (lo, hi []int64) 
 	lo = make([]int64, to-from)
 	hi = make([]int64, to-from)
 	for _, f := range offers {
-		for t := f.EarliestStart; t < f.LatestEnd(); t++ {
-			if t < from || t >= to {
-				continue
+		// Column offset u of f is absolute column tes+u, band index
+		// tes+u−from.
+		off := f.EarliestStart - from
+		eachColumnRun(f, -off, to-from-off, func(u, n int, l, h int64) {
+			for c := u + off; c < u+off+n; c++ {
+				if h > 0 {
+					hi[c] += h
+				}
+				if l < 0 {
+					lo[c] += l
+				}
 			}
-			l, h, ok := ColumnBounds(f, t)
-			if !ok {
-				continue
-			}
-			if h > 0 {
-				hi[t-from] += h
-			}
-			if l < 0 {
-				lo[t-from] += l
-			}
-		}
+		})
 	}
 	return lo, hi
+}
+
+// narrowWindow is the widest window, and the fewest windows, that
+// eachWindow scans slice by slice: below it a rescan beats the deque's
+// bookkeeping and allocation (typical windows hold a few slices).
+const narrowWindow = 32
+
+// eachWindow visits the bounds of columns u ∈ [a, b), column u holding
+// the w consecutive slices u−w+1…u. Narrow windows, or few of them, are
+// rescanned; otherwise a monotonic deque per extreme keeps the sweep
+// O(s), so an offer with many slices and a wide time flexibility is not
+// quadratic.
+func eachWindow(sl []flexoffer.Slice, w, a, b int, visit func(u, n int, lo, hi int64)) {
+	if w <= narrowWindow || b-a <= narrowWindow {
+		for u := a; u < b; u++ {
+			lo, hi := sl[u-w+1].Min, sl[u-w+1].Max
+			for _, x := range sl[u-w+2 : u+1] {
+				lo, hi = min(lo, x.Min), max(hi, x.Max)
+			}
+			visit(u, 1, lo, hi)
+		}
+		return
+	}
+	// maxQ and minQ hold slice indices whose Max (Min) values decrease
+	// (increase) from head to tail; the head is the window's extreme.
+	maxQ, minQ := make([]int, 0, b-a+w), make([]int, 0, b-a+w)
+	mh, nh := 0, 0
+	for i := a - w + 1; i < b; i++ {
+		for len(maxQ) > mh && sl[maxQ[len(maxQ)-1]].Max <= sl[i].Max {
+			maxQ = maxQ[:len(maxQ)-1]
+		}
+		maxQ = append(maxQ, i)
+		for len(minQ) > nh && sl[minQ[len(minQ)-1]].Min >= sl[i].Min {
+			minQ = minQ[:len(minQ)-1]
+		}
+		minQ = append(minQ, i)
+		if i < a {
+			continue
+		}
+		for maxQ[mh] <= i-w {
+			mh++
+		}
+		for minQ[nh] <= i-w {
+			nh++
+		}
+		visit(i, 1, sl[minQ[nh]].Min, sl[maxQ[mh]].Max)
+	}
 }
 
 // UnionArea materialises the joint area of all assignments as a cell set.

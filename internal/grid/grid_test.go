@@ -297,3 +297,119 @@ func TestFeasibleBandBracketsAssignments(t *testing.T) {
 		}
 	}
 }
+
+// sweepUnionAreaSize is the per-column sweep: ColumnBounds at every
+// column t ∈ [tes, LatestEnd), O((tf+s)·min(tf+1, s)) per offer. It is
+// the oracle for UnionAreaSize's run decomposition.
+func sweepUnionAreaSize(f *flexoffer.FlexOffer) int64 {
+	var total int64
+	for t := f.EarliestStart; t < f.LatestEnd(); t++ {
+		lo, hi, ok := ColumnBounds(f, t)
+		if !ok {
+			continue
+		}
+		if hi > 0 {
+			total += hi
+		}
+		if lo < 0 {
+			total -= lo
+		}
+	}
+	return total
+}
+
+// kernelOffer builds an offer with n slices from profile: slice i's
+// bounds are bytes 2i and 2i+1 (cycling; zero for an empty profile),
+// read as int8 and multiplied by scale with int64 wrap-around, so a
+// large scale reaches the int64 extremes.
+func kernelOffer(tes, tf int, n uint8, scale int64, profile []byte) *flexoffer.FlexOffer {
+	f := &flexoffer.FlexOffer{EarliestStart: tes, LatestStart: tes + tf}
+	for i := 0; i < int(n); i++ {
+		var a, b int64
+		if len(profile) > 0 {
+			a = int64(int8(profile[(2*i)%len(profile)])) * scale
+			b = int64(int8(profile[(2*i+1)%len(profile)])) * scale
+		}
+		f.Slices = append(f.Slices, flexoffer.Slice{Min: min(a, b), Max: max(a, b)})
+	}
+	return f
+}
+
+// checkKernel compares UnionAreaSize with the per-column sweep, the
+// FeasibleBand of f alone with ColumnBounds over a window around the
+// offer and one clipped inside it, and, when the middle is a plateau,
+// UnionAreaSize after widening tf by 2^40 with its closed form.
+func checkKernel(t *testing.T, f *flexoffer.FlexOffer) {
+	t.Helper()
+	if got, want := UnionAreaSize(f), sweepUnionAreaSize(f); got != want {
+		t.Fatalf("%+v: UnionAreaSize = %d, sweep = %d", f, got, want)
+	}
+	s, tf := f.NumSlices(), f.TimeFlexibility()
+	mid := f.EarliestStart + tf/2
+	for _, w := range [][2]int{{f.EarliestStart - 1, f.LatestEnd() + 1}, {mid, mid + s/2 + 1}} {
+		lo, hi := FeasibleBand([]*flexoffer.FlexOffer{f}, w[0], w[1])
+		for c := w[0]; c < w[1]; c++ {
+			l, h, _ := ColumnBounds(f, c)
+			if hi[c-w[0]] != max(h, 0) || lo[c-w[0]] != min(l, 0) {
+				t.Fatalf("%+v: band over %v at column %d = [%d, %d], want [%d, %d]",
+					f, w, c, lo[c-w[0]], hi[c-w[0]], min(l, 0), max(h, 0))
+			}
+		}
+	}
+	if s == 0 || tf < s-1 {
+		return
+	}
+	// Every column the widening adds holds the whole profile.
+	var whole int64
+	lo, hi, _ := ColumnBounds(f, f.EarliestStart+s-1)
+	if hi > 0 {
+		whole += hi
+	}
+	if lo < 0 {
+		whole -= lo
+	}
+	const wide = 1 << 40
+	g := f.Clone()
+	g.LatestStart += wide
+	if got, want := UnionAreaSize(g), sweepUnionAreaSize(f)+wide*whole; got != want {
+		t.Fatalf("%+v widened by 2^40: UnionAreaSize = %d, closed form %d", f, got, want)
+	}
+}
+
+// TestUnionAreaSizeMatchesSweep checks the run decomposition against
+// the per-column sweep on every shape: each time flexibility from −2
+// to past the profile, profiles of 1–70 slices (70 with tf ∈ [32, 37]
+// takes the monotonic-deque window path), mixed-sign bounds.
+func TestUnionAreaSizeMatchesSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for _, s := range []uint8{1, 2, 3, 5, 9, 70} {
+		for tf := -2; tf <= int(s)+2; tf++ {
+			profile := make([]byte, 2*int(s))
+			r.Read(profile)
+			checkKernel(t, kernelOffer(r.Intn(5), tf, s, 1, profile))
+		}
+	}
+}
+
+// TestUnionAreaSizeWideTimeFlexibility pins the hostile input: an offer
+// with tf = 2^40 takes O(s), not 2^40 column visits, and its size is
+// the ramps plus 2^40−s+2 plateau columns of the whole profile's band.
+func TestUnionAreaSizeWideTimeFlexibility(t *testing.T) {
+	f := flexoffer.MustNew(3, 3+1<<40, sl(-1, 2), sl(-4, -1), sl(-3, 1))
+	// Ramp-up: slice 1, then 1–2; plateau: 1–3; ramp-down: 3, then 2–3.
+	want := int64(3) + 6 + (1<<40-1)*6 + 4 + 5
+	if got := UnionAreaSize(f); got != want {
+		t.Fatalf("UnionAreaSize = %d, want %d", got, want)
+	}
+}
+
+// FuzzUnionAreaSize differentially fuzzes the union-area kernel and the
+// band sweep built on the same decomposition against the per-column
+// sweep (checkKernel): start times and time flexibilities of either
+// sign, up to 255 slices, bounds scaled to the int64 extremes.
+func FuzzUnionAreaSize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, tes, tf int, n uint8, scale int64, profile []byte) {
+		// Keep the oracle's O((tf+s)·s) sweep cheap.
+		checkKernel(t, kernelOffer(tes%(1<<20), tf%(1<<10), n, scale, profile))
+	})
+}

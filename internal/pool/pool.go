@@ -57,9 +57,11 @@ type Executor interface {
 type Pool struct {
 	workers int
 	tasks   chan func()
-	busy    atomic.Int64
-	closed  atomic.Bool
-	once    sync.Once
+	// done is closed by Close. tasks is never closed, so a send in
+	// trySubmit cannot race a close of the channel it sends on.
+	done chan struct{}
+	busy atomic.Int64
+	once sync.Once
 }
 
 // New starts a pool of the given size; values below 1 mean one worker
@@ -78,13 +80,19 @@ func New(workers int) *Pool {
 		// then stall behind unrelated long-running work — the opposite
 		// of the fail-fast enlistment ForEach promises.
 		tasks: make(chan func()),
+		done:  make(chan struct{}),
 	}
 	for i := 0; i < workers; i++ {
 		go func() {
-			for task := range p.tasks {
-				p.busy.Add(1)
-				task()
-				p.busy.Add(-1)
+			for {
+				select {
+				case task := <-p.tasks:
+					p.busy.Add(1)
+					task()
+					p.busy.Add(-1)
+				case <-p.done:
+					return
+				}
 			}
 		}()
 	}
@@ -119,10 +127,17 @@ func (p *Pool) Close() {
 	if p == nil {
 		return
 	}
-	p.once.Do(func() {
-		p.closed.Store(true)
-		close(p.tasks)
-	})
+	p.once.Do(func() { close(p.done) })
+}
+
+// isClosed reports whether Close has been called.
+func (p *Pool) isClosed() bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // ForEach runs fn(i) for every i in [0, n), fanning batches of
@@ -138,7 +153,7 @@ func (p *Pool) ForEach(n, workers, batch int, fn func(int)) {
 		return
 	}
 	limit := p.Workers()
-	if p == nil || p.closed.Load() {
+	if p == nil || p.isClosed() {
 		limit = 1
 	}
 	if workers < 1 || workers > limit {
@@ -162,9 +177,9 @@ func (p *Pool) ForEach(n, workers, batch int, fn func(int)) {
 	}
 	// Enlist up to workers−1 helpers without blocking: if the pool is
 	// saturated by other calls, the caller drains the cursor alone.
-	// closed.Load() above was only advisory — a concurrent Close can
-	// land between it and the send — so the send is guarded by recover
-	// rather than a lock; a send that loses that race simply runs
+	// isClosed above was only advisory — a concurrent Close can
+	// land between it and the send; trySubmit then finds done closed
+	// (or no worker left to take the task), and the work runs
 	// caller-side like any other failed enlistment.
 	for h := 0; h < workers-1; h++ {
 		wg.Add(1)
@@ -194,7 +209,7 @@ func (p *Pool) ForEachCtx(ctx context.Context, n, workers, batch int, fn func(in
 		return
 	}
 	limit := p.Workers()
-	if p == nil || p.closed.Load() {
+	if p == nil || p.isClosed() {
 		limit = 1
 	}
 	if workers < 1 || workers > limit {
@@ -230,13 +245,11 @@ func (p *Pool) ForEachCtx(ctx context.Context, n, workers, batch int, fn func(in
 }
 
 // trySubmit offers task to an idle worker, reporting whether one took
-// it. It never blocks; a send racing a concurrent Close is absorbed.
-func (p *Pool) trySubmit(task func()) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
+// it. It never blocks, and offers nothing once the pool is closed.
+func (p *Pool) trySubmit(task func()) bool {
+	if p.isClosed() {
+		return false
+	}
 	select {
 	case p.tasks <- task:
 		return true

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync"
 
 	flex "flexmeasures"
 	"flexmeasures/internal/flexoffer"
@@ -456,7 +457,7 @@ func appendMeasuresHead(b []byte, names []string) []byte {
 // "values" array: ,"set":[…]}
 func appendMeasuresTail[F ~float64](b []byte, set []F) []byte {
 	b = append(b, `,"set":`...)
-	b = appendJSONFloats(b, set)
+	b = appendJSONFloats(b, set, nil)
 	return append(b, '}')
 }
 
@@ -465,14 +466,17 @@ func appendMeasuresTail[F ~float64](b []byte, set []F) []byte {
 // rows[0] opens the array (otherwise it follows an earlier row and is
 // preceded by a comma). It is the one place the row and cell format is
 // written: EncodeResponse's *MeasuresResponse path and the streamed
-// GET /v1/measures body both go through it.
+// GET /v1/measures body both go through it. Cells that are not
+// integers go through a pooled floatMemo.
 func appendMeasureRows[F ~float64](b []byte, rows [][]F, first bool) []byte {
+	m := floatMemos.Get().(*floatMemo)
 	for i, row := range rows {
 		if i > 0 || !first {
 			b = append(b, ',')
 		}
-		b = appendJSONFloats(b, row)
+		b = appendJSONFloats(b, row, m)
 	}
+	floatMemos.Put(m)
 	return b
 }
 
@@ -489,8 +493,9 @@ func measureRowsBytes[F ~float64](rows [][]F) int {
 // short integers or nulls, so the buffer rarely has to grow.
 const cellBytes = 12
 
-// appendJSONFloats appends xs as a JSON array, null for a nil slice.
-func appendJSONFloats[F ~float64](b []byte, xs []F) []byte {
+// appendJSONFloats appends xs as a JSON array, null for a nil slice,
+// its cells through m (which may be nil).
+func appendJSONFloats[F ~float64](b []byte, xs []F, m *floatMemo) []byte {
 	if xs == nil {
 		return append(b, "null"...)
 	}
@@ -499,24 +504,61 @@ func appendJSONFloats[F ~float64](b []byte, xs []F) []byte {
 		if j > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONFloat(b, float64(x))
+		if i, ok := jsonInt(float64(x)); ok {
+			b = appendJSONInt(b, i)
+		} else {
+			b = m.appendFraction(b, float64(x))
+		}
 	}
 	return append(b, ']')
+}
+
+// jsonInt reports x as an int64 when appendJSONFloat writes it as an
+// integer: x is integral, below 2^53 in magnitude and not −0. Every
+// integer in that range is exactly representable, so its shortest 'f'
+// form is just its digits. A NaN, an infinity or an out-of-range x
+// converts to some int64 that does not convert back to x.
+func jsonInt(x float64) (int64, bool) {
+	i := int64(x)
+	return i, float64(i) == x && -1<<53 < i && i < 1<<53 && (i != 0 || !math.Signbit(x))
 }
 
 // appendJSONFloat appends x as JSONFloat.MarshalJSON encodes it: null
 // when x is NaN or infinite, otherwise encoding/json's float64 form —
 // the shortest 'f' representation, or 'e' when |x| < 1e-6 or
 // |x| ≥ 1e21, with a two-digit negative exponent shortened (e-07 →
-// e-7). An integral x below 2^53 in magnitude, other than −0, is
-// appended as the integer itself: every integer in that range is
-// exactly representable, so its shortest 'f' form is just its digits.
+// e-7). Integers (jsonInt) are appended as the integer itself.
 func appendJSONFloat(b []byte, x float64) []byte {
+	if i, ok := jsonInt(x); ok {
+		return appendJSONInt(b, i)
+	}
+	return appendFraction(b, x)
+}
+
+// appendJSONInt appends i in decimal, as strconv.AppendInt does, with
+// the one- to three-digit magnitudes that make up most measures cells
+// written in place.
+func appendJSONInt(b []byte, i int64) []byte {
+	u := uint64(i)
+	if i < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	switch {
+	case u < 10:
+		return append(b, byte('0'+u))
+	case u < 100:
+		return append(b, byte('0'+u/10), byte('0'+u%10))
+	case u < 1000:
+		return append(b, byte('0'+u/100), byte('0'+u/10%10), byte('0'+u%10))
+	}
+	return strconv.AppendUint(b, u, 10)
+}
+
+// appendFraction is appendJSONFloat for an x that jsonInt rejects.
+func appendFraction(b []byte, x float64) []byte {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return append(b, "null"...)
-	}
-	if x == math.Trunc(x) && math.Abs(x) < 1<<53 && (x != 0 || !math.Signbit(x)) {
-		return strconv.AppendInt(b, int64(x), 10)
 	}
 	format := byte('f')
 	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -528,6 +570,45 @@ func appendJSONFloat(b []byte, x float64) []byte {
 			b[n-2] = b[n-1]
 			b = b[:n-1]
 		}
+	}
+	return b
+}
+
+// memoBits is log2 of a floatMemo's slots: 1024 slots of 32 bytes.
+// The relative area column of a 50k-offer fleet holds ~37k non-integer
+// cells but only ~1k distinct values, and 1024 direct-mapped slots
+// already serve ~80% of them.
+const memoBits = 10
+
+// floatMemo is a direct-mapped cache of appendJSONFloat's bytes for
+// cells that are not integers, keyed by the float's bits. It holds
+// the output of a pure function of its key, so a hit is always the
+// bytes appendJSONFloat would write; a collision just overwrites the
+// slot. Encoders borrow one from floatMemos for a block of rows.
+type floatMemo [1 << memoBits]struct {
+	bits uint64
+	n    uint8 // bytes in text; 0 for an empty slot
+	text [23]byte
+}
+
+// floatMemos recycles floatMemos across blocks and requests.
+var floatMemos = sync.Pool{New: func() any { return new(floatMemo) }}
+
+// appendFraction appends x as appendFraction does, through the memo.
+// A nil memo caches nothing.
+func (m *floatMemo) appendFraction(b []byte, x float64) []byte {
+	if m == nil {
+		return appendFraction(b, x)
+	}
+	bits := math.Float64bits(x)
+	e := &m[bits*0x9E3779B97F4A7C15>>(64-memoBits)]
+	if e.n != 0 && e.bits == bits {
+		return append(b, e.text[:e.n]...)
+	}
+	start := len(b)
+	b = appendFraction(b, x)
+	if n := len(b) - start; n <= len(e.text) {
+		e.bits, e.n = bits, uint8(copy(e.text[:], b[start:]))
 	}
 	return b
 }

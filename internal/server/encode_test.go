@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	flex "flexmeasures"
@@ -105,4 +106,25 @@ func FuzzAppendJSONFloat(f *testing.F) {
 		check(t, math.Float64frombits(bits))
 		check(t, float64(int64(bits)>>(bits%64)))
 	})
+}
+
+// TestAppendJSONIntMatchesStrconv pins the in-place small-integer path
+// of the cell encoder to strconv over every magnitude it writes itself,
+// both signs, and the digit-count edges up to the largest integer the
+// encoder writes as one.
+func TestAppendJSONIntMatchesStrconv(t *testing.T) {
+	check := func(i int64) {
+		if got, want := string(appendJSONInt([]byte("x"), i)), "x"+strconv.FormatInt(i, 10); got != want {
+			t.Fatalf("appendJSONInt(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for i := int64(-1100); i <= 1100; i++ {
+		check(i)
+	}
+	for p := int64(1); p < 1<<53; p *= 10 {
+		check(p - 1)
+		check(-p)
+	}
+	check(1<<53 - 1)
+	check(-(1<<53 - 1))
 }

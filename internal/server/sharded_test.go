@@ -435,6 +435,91 @@ func TestShardedServerMeasuresByteParity(t *testing.T) {
 	}
 }
 
+// TestMeasuresConcurrentRequests pins the recycled measures buffers
+// (evaluator blocks, encoded blocks, float memos) under concurrent
+// requests: GET /v1/measures from several goroutines at once, under
+// different norms, over a fleet of many blocks, must each answer the
+// reference bytes of its norm.
+func TestMeasuresConcurrentRequests(t *testing.T) {
+	offers, ndjson := measuresFleet(t, 5*flex.MeasuresBlock+17)
+	ref := flex.New(flex.WithWorkers(1))
+	defer ref.Close()
+	norms := []string{"l1", "l2", "linf"}
+	want := make(map[string][]byte, len(norms))
+	for q, norm := range map[string]flex.Norm{"l1": flex.L1, "l2": flex.L2, "linf": flex.LInf} {
+		tab, err := ref.Measures(context.Background(), offers, flex.WithNorm(norm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeResponse(&buf, BuildMeasuresResponse(tab)); err != nil {
+			t.Fatal(err)
+		}
+		want[q] = buf.Bytes()
+	}
+	srv, _ := newShardedTestServer(t, 2, Options{}, flex.WithWorkers(2))
+	if resp, body := post(t, srv.URL+"/v1/offers", bytes.NewReader(ndjson)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %s: %s", resp.Status, body)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				q := norms[(g+r)%len(norms)]
+				resp, err := http.Get(srv.URL + "/v1/measures?norm=" + q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want[q]) {
+					t.Errorf("goroutine %d norm=%s: %s, %v: body differs from the reference", g, q, resp.Status, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestMeasuresWideTimeFlexibility pins GET /v1/measures on hostile
+// input: one valid offer with latestStart = 2^40 among an ordinary
+// fleet. Its union area takes O(slices), not 2^40 column visits, so the
+// request answers 200 at once with exactly the reference rendering.
+func TestMeasuresWideTimeFlexibility(t *testing.T) {
+	offers, _ := zonedFleet(t, 40, 3)
+	offers = append(offers, &flexoffer.FlexOffer{ID: "wide", EarliestStart: 2, LatestStart: 1 << 40,
+		Slices: []flexoffer.Slice{{Min: -1, Max: 2}, {Min: -4, Max: -1}, {Min: -3, Max: 1}}, TotalMin: -8, TotalMax: 2})
+	var ndjson bytes.Buffer
+	if err := flexoffer.EncodeNDJSON(&ndjson, offers); err != nil {
+		t.Fatal(err)
+	}
+	ref := flex.New(flex.WithWorkers(1))
+	defer ref.Close()
+	tab, err := ref.Measures(context.Background(), offers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := EncodeResponse(&want, BuildMeasuresResponse(tab)); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newShardedTestServer(t, 2, Options{}, flex.WithWorkers(2))
+	if resp, body := post(t, srv.URL+"/v1/offers", &ndjson); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %s: %s", resp.Status, body)
+	}
+	resp, body := get(t, srv.URL+"/v1/measures")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("measures: %s: %s", resp.Status, body)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("/v1/measures bytes differ from the reference:\n got  %.300s\n want %.300s", body, want.Bytes())
+	}
+}
+
 // TestMeasuresCancelledBeforeOutput pins the status contract of the
 // streamed GET /v1/measures: a request whose evaluation fails before
 // any block is written still answers 422 with an error body.

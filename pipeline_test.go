@@ -39,8 +39,9 @@ func pipelineEngine(t *testing.T, opts ...Option) *Engine {
 }
 
 // TestSchedulePipelineMatchesBatch pins the pipeline's defining
-// property: the streaming group→aggregate→schedule→disaggregate chain
-// produces exactly the schedule of the materialized batch sequence, for
+// property: Pipeline's group→aggregate→schedule→disaggregate stages,
+// fanned out over the engine's workers, produce exactly the schedule of
+// a serial Aggregate followed by Schedule on the aggregates, for
 // several worker counts.
 func TestSchedulePipelineMatchesBatch(t *testing.T) {
 	offers, target := pipelineFixture(t, 400)
@@ -105,7 +106,8 @@ func TestSchedulePipelineDisaggregationValid(t *testing.T) {
 	}
 }
 
-// TestSchedulePipelinePeakCap: the cap reaches the streaming scheduler.
+// TestSchedulePipelinePeakCap: a per-call WithPeakCap reaches the
+// pipeline's scheduling stage.
 func TestSchedulePipelinePeakCap(t *testing.T) {
 	offers, target := pipelineFixture(t, 150)
 	eng := pipelineEngine(t, WithWorkers(2))
