@@ -712,26 +712,33 @@ func touch(offers []*FlexOffer) int64 {
 	return sum
 }
 
-// measureBlockPool recycles MeasuresEach's blocks, rows and cells
+// measureBlocksKept bounds the blocks kept for reuse between calls. A
+// consumer that keeps up with the workers, as GET /v1/measures does,
+// holds two or three blocks at a time on a 2-CPU, two-shard server;
+// the rare call that piles up more allocates the excess afresh.
+const measureBlocksKept = 4
+
+// measureBlockFree recycles MeasuresEach's blocks, rows and cells
 // together, across calls.
-var measureBlockPool = sync.Pool{New: func() any {
+var measureBlockFree = pool.NewFree(measureBlocksKept, func() *MeasureBlock {
 	const w = core.RowWidth
 	b := &MeasureBlock{cells: make([]float64, MeasuresBlock*w), Rows: make([][]float64, MeasuresBlock)}
 	for i := range b.Rows {
 		b.Rows[i] = b.cells[i*w : (i+1)*w : (i+1)*w]
 	}
 	return b
-}}
+})
 
 // Release hands a block that MeasuresEach passed to its callback back
 // for reuse by later calls. Neither the block nor its rows may be used
-// afterwards. Releasing is optional: an unreleased block is garbage.
+// afterwards. Releasing is optional: an unreleased block is garbage,
+// and so is a released one beyond the few kept.
 func (b *MeasureBlock) Release() {
 	if b.cells == nil {
 		return
 	}
 	b.Rows = b.Rows[:MeasuresBlock]
-	measureBlockPool.Put(b)
+	measureBlockFree.Put(b)
 }
 
 // MeasuresEach is the measures evaluator behind GET /v1/measures. It
@@ -748,7 +755,7 @@ func (b *MeasureBlock) Release() {
 // reported as the error.
 func (e *Engine) MeasuresEach(ctx context.Context, offers []*FlexOffer, each func(*MeasureBlock), opts ...Option) error {
 	return e.measureBlocks(ctx, offers, e.resolve(opts).norm, func(k int) *MeasureBlock {
-		b := measureBlockPool.Get().(*MeasureBlock)
+		b := measureBlockFree.Get()
 		b.Lo = k * MeasuresBlock
 		b.Rows = b.Rows[:min(MeasuresBlock, len(offers)-b.Lo)]
 		b.product = core.AssignmentsProduct{}

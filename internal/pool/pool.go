@@ -327,3 +327,37 @@ func makeLoop(cursor *atomic.Int64, n, batch int, fn func(int)) func() {
 		}
 	}
 }
+
+// Free is a bounded free list: it keeps up to its capacity of released
+// values for reuse and drops the rest. What it retains between calls is
+// therefore bounded whatever the peak number in use was, unlike a
+// sync.Pool, which keeps every value put back until two garbage
+// collections pass.
+type Free[T any] struct {
+	c   chan T
+	new func() T
+}
+
+// NewFree returns a free list that keeps up to n values and makes new
+// ones with alloc.
+func NewFree[T any](n int, alloc func() T) *Free[T] {
+	return &Free[T]{c: make(chan T, n), new: alloc}
+}
+
+// Get returns a kept value, or a new one when none is kept.
+func (f *Free[T]) Get() T {
+	select {
+	case v := <-f.c:
+		return v
+	default:
+		return f.new()
+	}
+}
+
+// Put keeps v for a later Get, or drops it when the list is full.
+func (f *Free[T]) Put(v T) {
+	select {
+	case f.c <- v:
+	default:
+	}
+}

@@ -170,3 +170,26 @@ func BenchmarkForEachSpinUp(b *testing.B) {
 		Run(256, 0, 0, func(i int) { sink.Add(int64(i)) })
 	}
 }
+
+// TestFreeKeepsAtMostCapacity pins the free list's bound: Get reuses
+// kept values in any order, makes new ones when none is kept, and Put
+// beyond the capacity drops the value.
+func TestFreeKeepsAtMostCapacity(t *testing.T) {
+	made := 0
+	f := NewFree(2, func() *int { made++; return new(int) })
+	a, b, c := f.Get(), f.Get(), f.Get()
+	if made != 3 {
+		t.Fatalf("made %d values for 3 Gets on an empty list, want 3", made)
+	}
+	f.Put(a)
+	f.Put(b)
+	f.Put(c) // dropped: the list keeps two
+	for i := 0; i < 2; i++ {
+		if v := f.Get(); v != a && v != b {
+			t.Fatalf("Get %d returned a value that was not kept", i)
+		}
+	}
+	if f.Get(); made != 4 {
+		t.Fatalf("made %d values, want 4: the third Put must have been dropped", made)
+	}
+}

@@ -12,11 +12,12 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
-	"sync"
 
 	flex "flexmeasures"
 	"flexmeasures/internal/flexoffer"
+	"flexmeasures/internal/pool"
 )
 
 // IngestResponse reports one POST /v1/offers call.
@@ -469,7 +470,7 @@ func appendMeasuresTail[F ~float64](b []byte, set []F) []byte {
 // GET /v1/measures body both go through it. Cells that are not
 // integers go through a pooled floatMemo.
 func appendMeasureRows[F ~float64](b []byte, rows [][]F, first bool) []byte {
-	m := floatMemos.Get().(*floatMemo)
+	m := floatMemos.Get()
 	for i, row := range rows {
 		if i > 0 || !first {
 			b = append(b, ',')
@@ -591,8 +592,9 @@ type floatMemo [1 << memoBits]struct {
 	text [23]byte
 }
 
-// floatMemos recycles floatMemos across blocks and requests.
-var floatMemos = sync.Pool{New: func() any { return new(floatMemo) }}
+// floatMemos recycles floatMemos across blocks and requests. A memo is
+// held only while a block encodes, so at most one per CPU is in use.
+var floatMemos = pool.NewFree(runtime.GOMAXPROCS(0), func() *floatMemo { return new(floatMemo) })
 
 // appendFraction appends x as appendFraction does, through the memo.
 // A nil memo caches nothing.

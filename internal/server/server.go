@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"flexmeasures/internal/ingest"
 	"flexmeasures/internal/obs"
 	"flexmeasures/internal/persist"
+	"flexmeasures/internal/pool"
 	"flexmeasures/internal/shard"
 	"flexmeasures/internal/timeseries"
 )
@@ -714,10 +716,15 @@ func (s *Server) handleMeasures(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer close(blocks)
 		err = s.se.MeasuresEach(r.Context(), offers, func(b *flex.MeasureBlock) {
-			mb := measuresBlocks.Get().(*measuresBlock)
+			mb := measuresBlocks.Get()
 			mb.rows = b
 			mb.data = appendMeasureRows(mb.data[:0], b.Rows, b.Lo == 0)
 			blocks <- mb
+			// The send made the writer runnable on this CPU; yield so
+			// it writes and recycles the block now, overlapping the
+			// evaluation, instead of after every block is done with
+			// the whole body held in flight.
+			runtime.Gosched()
 		}, opts...)
 	}()
 	var werr error
@@ -764,9 +771,11 @@ type measuresBlock struct {
 }
 
 // measuresBlocks recycles measuresBlocks and their encoding buffers
-// across blocks and requests. A block of the typical fleet encodes to
-// ~9 KB.
-var measuresBlocks = sync.Pool{New: func() any { return &measuresBlock{data: make([]byte, 0, 16<<10)} }}
+// across blocks and requests, keeping as many as the engine keeps
+// evaluator blocks. A block of the typical fleet encodes to ~9 KB.
+var measuresBlocks = pool.NewFree(4, func() *measuresBlock {
+	return &measuresBlock{data: make([]byte, 0, 16<<10)}
+})
 
 // handleHealthz reports liveness. Draining is 503 (stop routing here);
 // degraded stays 200 — the instance still serves reads, and killing it
