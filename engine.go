@@ -693,12 +693,13 @@ type MeasureBlock struct {
 	cells []float64
 }
 
-// touch reads each offer's totals and its first slice. The loads are
-// independent of each other, so the CPU overlaps their cache misses;
-// MeasureRow, which chases the same pointers one offer at a time,
-// then finds them in cache. A fleet re-submitted offer by offer sits
-// scattered over the heap, where those misses dominate a row. It is
-// not inlined, so the loads survive though callers drop the sum.
+// touch reads each offer's start, its totals and its first and last
+// slices. The loads are independent of each other, so the CPU overlaps
+// their cache misses; MeasureRow, which chases the same pointers one
+// offer at a time, then finds them in cache. A fleet re-submitted
+// offer by offer sits scattered over the heap, where those misses
+// dominate a row. It is not inlined, so the loads survive though
+// callers drop the sum.
 //
 //go:noinline
 func touch(offers []*FlexOffer) int64 {

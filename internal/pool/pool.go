@@ -56,12 +56,13 @@ type Executor interface {
 // goroutine spin-up instead use Run).
 type Pool struct {
 	workers int
-	tasks   chan func()
-	// done is closed by Close. tasks is never closed, so a send in
-	// trySubmit cannot race a close of the channel it sends on.
-	done chan struct{}
-	busy atomic.Int64
-	once sync.Once
+	// tasks is never closed, so a send in trySubmit cannot race a
+	// close of the channel it sends on; Close stops each worker with a
+	// nil task instead.
+	tasks  chan func()
+	busy   atomic.Int64
+	closed atomic.Bool
+	once   sync.Once
 }
 
 // New starts a pool of the given size; values below 1 mean one worker
@@ -80,19 +81,16 @@ func New(workers int) *Pool {
 		// then stall behind unrelated long-running work — the opposite
 		// of the fail-fast enlistment ForEach promises.
 		tasks: make(chan func()),
-		done:  make(chan struct{}),
 	}
 	for i := 0; i < workers; i++ {
 		go func() {
-			for {
-				select {
-				case task := <-p.tasks:
-					p.busy.Add(1)
-					task()
-					p.busy.Add(-1)
-				case <-p.done:
+			for task := range p.tasks {
+				if task == nil {
 					return
 				}
+				p.busy.Add(1)
+				task()
+				p.busy.Add(-1)
 			}
 		}()
 	}
@@ -127,17 +125,16 @@ func (p *Pool) Close() {
 	if p == nil {
 		return
 	}
-	p.once.Do(func() { close(p.done) })
-}
-
-// isClosed reports whether Close has been called.
-func (p *Pool) isClosed() bool {
-	select {
-	case <-p.done:
-		return true
-	default:
-		return false
-	}
+	p.once.Do(func() {
+		p.closed.Store(true)
+		// One nil task per worker, handed over as each finishes what
+		// it runs, without holding up the caller.
+		go func() {
+			for i := 0; i < p.workers; i++ {
+				p.tasks <- nil
+			}
+		}()
+	})
 }
 
 // ForEach runs fn(i) for every i in [0, n), fanning batches of
@@ -153,7 +150,7 @@ func (p *Pool) ForEach(n, workers, batch int, fn func(int)) {
 		return
 	}
 	limit := p.Workers()
-	if p == nil || p.isClosed() {
+	if p == nil || p.closed.Load() {
 		limit = 1
 	}
 	if workers < 1 || workers > limit {
@@ -177,10 +174,10 @@ func (p *Pool) ForEach(n, workers, batch int, fn func(int)) {
 	}
 	// Enlist up to workers−1 helpers without blocking: if the pool is
 	// saturated by other calls, the caller drains the cursor alone.
-	// isClosed above was only advisory — a concurrent Close can
-	// land between it and the send; trySubmit then finds done closed
-	// (or no worker left to take the task), and the work runs
-	// caller-side like any other failed enlistment.
+	// closed.Load() above was only advisory — a concurrent Close can
+	// land between it and the send; trySubmit then finds the pool
+	// closed, or a worker still takes the task, or none does and the
+	// work runs caller-side like any other failed enlistment.
 	for h := 0; h < workers-1; h++ {
 		wg.Add(1)
 		if !p.trySubmit(task) {
@@ -209,7 +206,7 @@ func (p *Pool) ForEachCtx(ctx context.Context, n, workers, batch int, fn func(in
 		return
 	}
 	limit := p.Workers()
-	if p == nil || p.isClosed() {
+	if p == nil || p.closed.Load() {
 		limit = 1
 	}
 	if workers < 1 || workers > limit {
@@ -247,7 +244,7 @@ func (p *Pool) ForEachCtx(ctx context.Context, n, workers, batch int, fn func(in
 // trySubmit offers task to an idle worker, reporting whether one took
 // it. It never blocks, and offers nothing once the pool is closed.
 func (p *Pool) trySubmit(task func()) bool {
-	if p.isClosed() {
+	if p.closed.Load() {
 		return false
 	}
 	select {
