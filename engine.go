@@ -573,13 +573,15 @@ func (e *Engine) OrderDelta() int {
 // grouping stage exactly as in the stateless path (so group identity
 // is bit-identical across shard counts), every group is keyed against
 // the cache, aggregate-cache misses fan out across the shard pools in
-// contiguous blocks, the merge-walk placement runs at the gather
-// point, and only the groups whose assignment changed disaggregate.
+// contiguous blocks (copying their members' layouts from the previous
+// run's aggregates where those hold them), the merge-walk placement
+// runs at the gather point, and only the groups whose assignment
+// changed disaggregate.
 func (e *Engine) pipelineIncremental(ctx context.Context, groups [][]*FlexOffer, target Series, o engineOptions) (*PipelineResult, error) {
-	res, err := e.incrementalState().Run(ctx, groups, target,
+	res, err := e.incrementalState().RunSourced(ctx, groups, target,
 		inc.Config{PeakCap: o.peakCap, Safe: o.safe, Threshold: o.incThreshold},
-		func(ctx context.Context, gs [][]*FlexOffer) ([]*Aggregated, error) {
-			return e.scatterAggregateGroups(ctx, gs, o)
+		func(ctx context.Context, gs [][]*FlexOffer, src aggregate.Sources) ([]*Aggregated, int, error) {
+			return e.scatterAggregateFrom(ctx, gs, src, o)
 		},
 		func(ctx context.Context, ags []*Aggregated, asgs []Assignment) ([][]Assignment, error) {
 			return e.scatterDisaggregate(ctx, ags, asgs, o)

@@ -55,6 +55,10 @@ type Aggregated struct {
 	// them, and disaggregation reads only them, never Constituents.
 	cons   []constituent
 	bounds []flexoffer.Slice
+	// mode is how the layouts were built: validated (Aggregate) or
+	// tightened (AggregateSafe); the zero value for an aggregate
+	// without them. A Prior copies a layout only between equal modes.
+	mode layoutMode
 	// align and minTF fix every constituent's δ=0 start (anchor).
 	align Alignment
 	minTF int
@@ -124,41 +128,46 @@ func Aggregate(group []*flexoffer.FlexOffer) (*Aggregated, error) {
 // Constituents are a copy of the group's pointer slice; the offers
 // themselves are not copied.
 func AggregateAligned(group []*flexoffer.FlexOffer, al Alignment) (*Aggregated, error) {
-	if err := validateGroup(group); err != nil {
-		return nil, err
+	if len(group) == 0 {
+		return nil, ErrEmptyGroup
 	}
-	return build(group, al, false)
+	ag, _, err := build(group, al, validated, source{})
+	return ag, err
 }
 
-// validateGroup checks that the group is non-empty and that every
-// constituent is a valid flex-offer.
-func validateGroup(group []*flexoffer.FlexOffer) error {
-	if len(group) == 0 {
-		return ErrEmptyGroup
-	}
-	for i, f := range group {
-		if err := f.Validate(); err != nil {
-			return fmt.Errorf("aggregate: constituent %d: %w", i, err)
+// aggregate is Aggregate (mode validated) or AggregateSafe (mode
+// tightened) with the members' layouts copied from src where it holds
+// them. It also returns how many it copied.
+func (mode layoutMode) aggregate(group []*flexoffer.FlexOffer, src source) (*Aggregated, int, error) {
+	if mode == tightened {
+		for i, f := range group {
+			if f == nil {
+				return nil, 0, fmt.Errorf("aggregate: constituent %d: %w", i, flexoffer.ErrNilOffer)
+			}
 		}
 	}
-	return nil
+	if len(group) == 0 {
+		return nil, 0, ErrEmptyGroup
+	}
+	return build(group, AlignEarliest, mode, src)
 }
 
-// build combines a non-empty group of non-nil offers under al, laying
-// their bounds out with layoutOf (tightened when tighten is set).
-func build(group []*flexoffer.FlexOffer, al Alignment, tighten bool) (*Aggregated, error) {
-	cons, bounds, err := layoutOf(group, tighten)
+// build combines a non-empty group under al, laying its members out
+// with layoutOf under mode (copied from src where it holds them). It
+// also returns how many layouts it copied.
+func build(group []*flexoffer.FlexOffer, al Alignment, mode layoutMode, src source) (*Aggregated, int, error) {
+	cons, bounds, reused, err := layoutOf(group, mode, src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	minTF := cons[0].lst - cons[0].est
 	for i := range cons[1:] {
 		minTF = min(minTF, cons[i+1].lst-cons[i+1].est)
 	}
 	if al != AlignEarliest && al != AlignLatest {
-		return nil, fmt.Errorf("aggregate: unknown alignment %d", int(al))
+		return nil, 0, fmt.Errorf("aggregate: unknown alignment %d", int(al))
 	}
-	ag := &Aggregated{cons: cons, bounds: bounds, align: al, minTF: minTF}
+	ag := &Aggregated{cons: cons, bounds: bounds, mode: mode, align: al, minTF: minTF}
 	base, end := ag.anchor(&cons[0]), ag.anchor(&cons[0])+int(cons[0].n)
 	for i := range cons {
 		base = min(base, ag.anchor(&cons[i]))
@@ -185,7 +194,7 @@ func build(group []*flexoffer.FlexOffer, al Alignment, tighten bool) (*Aggregate
 		TotalMax:      totalMax,
 	}
 	if err := agg.Validate(); err != nil {
-		return nil, fmt.Errorf("aggregate: building aggregate: %w", err)
+		return nil, 0, fmt.Errorf("aggregate: building aggregate: %w", err)
 	}
 	// Not fmt.Sprintf: its printer comes from a sync.Pool, which a race
 	// build empties at random, so the allocation count would vary.
@@ -193,38 +202,80 @@ func build(group []*flexoffer.FlexOffer, al Alignment, tighten bool) (*Aggregate
 	ag.Offer = agg
 	ag.Constituents = make([]*flexoffer.FlexOffer, len(group))
 	copy(ag.Constituents, group)
-	return ag, nil
+	return ag, reused, nil
 }
 
-// layoutOf copies every offer's slice bounds into one slab and
-// records each offer's layout. With
-// tighten set it narrows each copy to the offer's totals
-// (flexoffer.TightenSlices) and validates the narrowed offer, exactly
-// as validating a flexoffer.TightenTotals copy would.
-func layoutOf(group []*flexoffer.FlexOffer, tighten bool) ([]constituent, []flexoffer.Slice, error) {
+// layoutMode says what layoutOf does with a member it reads from its
+// offer.
+type layoutMode uint8
+
+const (
+	// asIs copies the bounds unchecked: the layout Disaggregate derives
+	// for an aggregate its caller assembled.
+	asIs layoutMode = iota
+	// validated validates the offer, then copies its bounds (Aggregate).
+	validated
+	// tightened copies the bounds, narrows the copy to the offer's
+	// totals (flexoffer.TightenSlices) and validates the narrowed offer,
+	// exactly as validating a flexoffer.TightenTotals copy would
+	// (AggregateSafe).
+	tightened
+)
+
+// layoutOf lays the group's members out in one fresh slab: each
+// member's constituent record and its bounds span, under mode. A
+// member src holds a layout for (see Prior) has it copied; every other
+// member is read from its offer. Members that fail validation are
+// reported by their index in the group, the first one first, as
+// without src: a copied layout was validated when its source was
+// built. It also returns how many layouts it copied.
+//
+// Two passes over the members resolve the same sources — the first
+// sizes the slab and validates (mode validated), the second fills it —
+// so nothing per member is kept between them.
+func layoutOf(group []*flexoffer.FlexOffer, mode layoutMode, src source) ([]constituent, []flexoffer.Slice, int, error) {
 	n := 0
-	for _, f := range group {
+	at := src.at
+	for i, f := range group {
+		if a, j, ok := src.prior.source(&at, f, mode); ok {
+			n += int(a.cons[j].n)
+			continue
+		}
+		if mode == validated {
+			if err := f.Validate(); err != nil {
+				return nil, nil, 0, fmt.Errorf("aggregate: constituent %d: %w", i, err)
+			}
+		}
 		n += len(f.Slices)
 	}
 	cons := make([]constituent, len(group))
 	bounds := make([]flexoffer.Slice, n)
-	lo := 0
+	lo, reused := 0, 0
+	at = src.at
 	for i, f := range group {
+		if a, j, ok := src.prior.source(&at, f, mode); ok {
+			slo, shi := a.cons[j].span()
+			cons[i] = a.cons[j]
+			cons[i].lo = int32(lo)
+			lo += copy(bounds[lo:], a.bounds[slo:shi])
+			reused++
+			continue
+		}
 		hi := lo + copy(bounds[lo:], f.Slices)
-		if tighten {
+		if mode == tightened {
 			b := bounds[lo:hi:hi]
 			flexoffer.TightenSlices(b, f.TotalMin, f.TotalMax)
 			view := flexoffer.FlexOffer{EarliestStart: f.EarliestStart, LatestStart: f.LatestStart,
 				Slices: b, TotalMin: f.TotalMin, TotalMax: f.TotalMax}
 			if err := view.Validate(); err != nil {
-				return nil, nil, fmt.Errorf("aggregate: constituent %d: %w", i, err)
+				return nil, nil, 0, fmt.Errorf("aggregate: constituent %d: %w", i, err)
 			}
 		}
 		cons[i] = constituent{est: f.EarliestStart, lst: f.LatestStart,
 			totalMin: f.TotalMin, totalMax: f.TotalMax, lo: int32(lo), n: int32(hi - lo)}
 		lo = hi
 	}
-	return cons, bounds, nil
+	return cons, bounds, reused, nil
 }
 
 // layout returns the aggregate's constituent layout and bounds slab.
@@ -233,7 +284,7 @@ func layoutOf(group []*flexoffer.FlexOffer, tighten bool) ([]constituent, []flex
 // untightened and anchored at their earliest starts.
 func (ag *Aggregated) layout() ([]constituent, []flexoffer.Slice) {
 	if ag.cons == nil {
-		cons, bounds, _ := layoutOf(ag.Constituents, false)
+		cons, bounds, _, _ := layoutOf(ag.Constituents, asIs, source{})
 		return cons, bounds
 	}
 	return ag.cons, ag.bounds
@@ -521,15 +572,8 @@ type GroupParams = grouping.Params
 // assignment valid for a tightened constituent is valid for the
 // original it was derived from (tightened ranges are subsets).
 func AggregateSafe(group []*flexoffer.FlexOffer) (*Aggregated, error) {
-	for i, f := range group {
-		if f == nil {
-			return nil, fmt.Errorf("aggregate: constituent %d: %w", i, flexoffer.ErrNilOffer)
-		}
-	}
-	if len(group) == 0 {
-		return nil, ErrEmptyGroup
-	}
-	return build(group, AlignEarliest, true)
+	ag, _, err := tightened.aggregate(group, source{})
+	return ag, err
 }
 
 // AggregateAll groups the offers with p and aggregates every group,

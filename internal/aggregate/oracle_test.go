@@ -34,6 +34,20 @@ func oracleAggregateAligned(group []*flexoffer.FlexOffer, al Alignment) (*oracle
 	return oracleAggregateOwned(copies, al)
 }
 
+// validateGroup checks that the group is non-empty and that every
+// constituent is a valid flex-offer.
+func validateGroup(group []*flexoffer.FlexOffer) error {
+	if len(group) == 0 {
+		return ErrEmptyGroup
+	}
+	for i, f := range group {
+		if err := f.Validate(); err != nil {
+			return fmt.Errorf("aggregate: constituent %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // oracleAggregateSafe is the copying AggregateSafe: every constituent
 // is replaced by its TightenTotals copy, which is validated and
 // aggregated.

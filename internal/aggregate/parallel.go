@@ -160,34 +160,55 @@ func (es GroupErrors) Unwrap() []error {
 // AggregateGroupsParallel aggregates pre-computed groups (from any
 // grouping strategy) concurrently, preserving group order.
 func AggregateGroupsParallel(ctx context.Context, groups [][]*flexoffer.FlexOffer, pp ParallelParams) ([]*Aggregated, error) {
-	return aggregateGroupsParallel(ctx, groups, Aggregate, pp)
+	ags, _, err := aggregateGroupsParallel(ctx, groups, validated.aggregate, Sources{}, pp)
+	return ags, err
 }
 
 // AggregateGroupsSafeParallel is AggregateGroupsParallel using
 // AggregateSafe per group (every valid aggregate assignment
 // disaggregates).
 func AggregateGroupsSafeParallel(ctx context.Context, groups [][]*flexoffer.FlexOffer, pp ParallelParams) ([]*Aggregated, error) {
-	return aggregateGroupsParallel(ctx, groups, AggregateSafe, pp)
+	ags, _, err := aggregateGroupsParallel(ctx, groups, tightened.aggregate, Sources{}, pp)
+	return ags, err
 }
 
-// aggregateGroupsParallel shards the groups across the worker pool:
-// each aggregate and each failure lands in its group's slot, so
-// neither output order nor error reporting depends on scheduling. Failures are wrapped with newGroupError exactly like the
-// serial path. After cancellation (or, in FirstError mode, a failure)
-// the remaining groups are skipped, not aggregated.
-func aggregateGroupsParallel(ctx context.Context, groups [][]*flexoffer.FlexOffer, agg func([]*flexoffer.FlexOffer) (*Aggregated, error), pp ParallelParams) ([]*Aggregated, error) {
+// AggregateGroupsFromParallel is AggregateGroupsSafeParallel when safe
+// is set and AggregateGroupsParallel otherwise, with each member's
+// layout copied from src where src holds it (see Prior). The aggregates
+// and errors are the same as without src. It also returns how many
+// member layouts it copied.
+func AggregateGroupsFromParallel(ctx context.Context, groups [][]*flexoffer.FlexOffer, src Sources, safe bool, pp ParallelParams) ([]*Aggregated, int, error) {
+	mode := validated
+	if safe {
+		mode = tightened
+	}
+	return aggregateGroupsParallel(ctx, groups, mode.aggregate, src, pp)
+}
+
+// aggregateGroupsParallel shards the groups across the worker pool,
+// aggregating group i with agg from its source in src: each aggregate
+// and each failure lands in its group's slot, so neither output order
+// nor error reporting depends on scheduling. Failures are wrapped with
+// newGroupError exactly like the serial path. After cancellation (or,
+// in FirstError mode, a failure) the remaining groups are skipped, not
+// aggregated.
+func aggregateGroupsParallel(ctx context.Context, groups [][]*flexoffer.FlexOffer, agg func([]*flexoffer.FlexOffer, source) (*Aggregated, int, error), src Sources, pp ParallelParams) ([]*Aggregated, int, error) {
 	n := len(groups)
+	if src.Starts != nil && len(src.Starts) != n {
+		return nil, 0, fmt.Errorf("aggregate: %d source cursors for %d groups", len(src.Starts), n)
+	}
 	out := make([]*Aggregated, n)
 	if n == 0 {
-		return out, nil
+		return out, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ctx, sp := obs.Start(ctx, obs.StageAggregate)
 	defer sp.End()
 	errSlots := make([]*GroupError, n)
 	var failed atomic.Bool
+	var reused atomic.Int64
 	done := ctx.Done()
 	pp.forEach(ctx, n, func(i int) {
 		if pp.ErrorMode == FirstError && failed.Load() {
@@ -198,21 +219,24 @@ func aggregateGroupsParallel(ctx context.Context, groups [][]*flexoffer.FlexOffe
 			return
 		default:
 		}
-		ag, err := agg(groups[i])
+		ag, r, err := agg(groups[i], src.of(i))
 		if err != nil {
 			errSlots[i] = newGroupError(i, groups[i], err)
 			failed.Store(true)
 			return
 		}
+		if r > 0 {
+			reused.Add(int64(r))
+		}
 		out[i] = ag
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := collectFailures(errSlots, pp.ErrorMode); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, int(reused.Load()), nil
 }
 
 // collectFailures folds per-index failure slots into the mode's error

@@ -174,15 +174,15 @@ func TestAggregateAllParallelCancelMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls, after atomic.Int32
-	agg := func(g []*flexoffer.FlexOffer) (*Aggregated, error) {
+	agg := func(g []*flexoffer.FlexOffer, src source) (*Aggregated, int, error) {
 		if calls.Add(1) == 3 {
 			cancel()
 		} else if calls.Load() > 3 {
 			after.Add(1)
 		}
-		return Aggregate(g)
+		return validated.aggregate(g, src)
 	}
-	_, err := aggregateGroupsParallel(ctx, groups, agg, ParallelParams{Workers: 2, BatchSize: 1})
+	_, _, err := aggregateGroupsParallel(ctx, groups, agg, Sources{}, ParallelParams{Workers: 2, BatchSize: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

@@ -26,6 +26,25 @@
 // segment — groups in other segments keep their exact member pointers
 // (the grouping stability test pins this), so they keep hitting.
 //
+// A group that misses is aggregated again, but rarely from its offers:
+// when a change shifts the packing, its members mostly sat in one to
+// three previous groups. Each member's layout — its constituent record
+// and its bounds span, tightened under safe aggregation — is a pure
+// function of the offer and the safe flag, so it is copied from the
+// previous run's aggregate that holds that very pointer (see
+// aggregate.Prior). The same argument as above makes a pointer match
+// exact: the pointer names immutable content, and the previous
+// aggregates keep their offers alive. The safe flag is part of the
+// fingerprint, so a previous aggregate built the other way is never
+// asked; one without a layout slab is skipped. The sources are found
+// by one serial cursor over the previous aggregates in run order: a
+// hit puts it past its entry, a miss past its members — one pointer
+// comparison when the group's last member sits where it did — and
+// each miss records only where its search starts. Rebuilt aggregates
+// copy, never alias, so they pin no previous slab, and they equal
+// aggregates built from the offers field for field. Only members new
+// or replaced since the previous run are read from their offers.
+//
 // # Delta re-placement
 //
 // Greedy placement is order- and residual-dependent, so reusing a
@@ -83,6 +102,12 @@ type Config struct {
 // group indices).
 type AggregateFunc func(ctx context.Context, groups [][]*flexoffer.FlexOffer) ([]*aggregate.Aggregated, error)
 
+// SourcedAggregateFunc is an AggregateFunc that may copy member
+// layouts from src (see aggregate.Prior), as
+// aggregate.AggregateGroupsFromParallel does, and reports how many it
+// copied. Its aggregates must equal the AggregateFunc's.
+type SourcedAggregateFunc func(ctx context.Context, groups [][]*flexoffer.FlexOffer, src aggregate.Sources) ([]*aggregate.Aggregated, int, error)
+
 // DisaggregateFunc disaggregates assignments[i] of ags[i] — the
 // engine's parallel fan-out plugs in here, with the same index-remap
 // contract as AggregateFunc.
@@ -112,6 +137,10 @@ type Stats struct {
 	// counts the groups placed fresh — dirty groups, and every group of
 	// a full run. Each group of each successful run counts exactly once.
 	Reused, Replaced, Placed int64
+	// LayoutsReused and LayoutsBuilt split the members of the groups
+	// aggregated again: layouts copied from the previous run's
+	// aggregates, and layouts read from the offers.
+	LayoutsReused, LayoutsBuilt int64
 	// LastGroups, LastDirty and LastReused describe the most recent run:
 	// total groups, groups whose aggregate was recomputed, and
 	// placements replayed from cache.
@@ -132,14 +161,15 @@ type entry struct {
 
 // State is the cached side of incremental scheduling for one engine:
 // the previous run's entries in group order, the first-member map
-// addressing them, and the config fingerprint guarding reuse. Run
-// replaces the whole state atomically on success and leaves it
-// untouched on error, so a failed or cancelled run never poisons the
-// cache.
+// addressing them, their aggregates as the layout sources of the next
+// run, and the config fingerprint guarding reuse. Run replaces the
+// whole state atomically on success and leaves it untouched on error,
+// so a failed or cancelled run never poisons the cache.
 type State struct {
 	mu      sync.Mutex
 	prev    []entry
 	byFirst map[*flexoffer.FlexOffer]int
+	prior   aggregate.Prior
 
 	// Fingerprint of the run that produced prev: target and cap guard
 	// placement reuse, safe guards aggregate reuse.
@@ -160,7 +190,7 @@ func NewState() *State {
 func (s *State) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.prev, s.byFirst, s.valid = nil, nil, false
+	s.prev, s.byFirst, s.prior, s.valid = nil, nil, nil, false
 }
 
 // Stats returns a snapshot of the cache statistics.
@@ -184,13 +214,24 @@ func sameMembers(a, b []*flexoffer.FlexOffer) bool {
 	return true
 }
 
-// Run executes one incremental pipeline pass over the materialized
-// groups: aggregate-cache lookups, parallel aggregation of the misses
-// through aggFn, the serial merge-walk placement, and parallel
+// Run is RunSourced with an aggregation stage that reads every member
+// from its offer.
+func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target timeseries.Series, cfg Config, aggFn AggregateFunc, disFn DisaggregateFunc) (*Result, error) {
+	return s.RunSourced(ctx, groups, target, cfg,
+		func(ctx context.Context, gs [][]*flexoffer.FlexOffer, _ aggregate.Sources) ([]*aggregate.Aggregated, int, error) {
+			ags, err := aggFn(ctx, gs)
+			return ags, 0, err
+		}, disFn)
+}
+
+// RunSourced executes one incremental pipeline pass over the
+// materialized groups: aggregate-cache lookups, parallel aggregation
+// of the misses through aggFn (handed the previous run's aggregates as
+// layout sources), the serial merge-walk placement, and parallel
 // disaggregation of the changed groups through disFn. On success the
 // state is replaced wholesale; on error it is left exactly as the last
 // successful run built it.
-func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target timeseries.Series, cfg Config, aggFn AggregateFunc, disFn DisaggregateFunc) (*Result, error) {
+func (s *State) RunSourced(ctx context.Context, groups [][]*flexoffer.FlexOffer, target timeseries.Series, cfg Config, aggFn SourcedAggregateFunc, disFn DisaggregateFunc) (*Result, error) {
 	if len(groups) == 0 {
 		return nil, sched.ErrNoOffers
 	}
@@ -200,7 +241,7 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 	// Safe-mode change: the cached aggregates were built the other way,
 	// so nothing is addressable.
 	if s.valid && s.safe != cfg.Safe {
-		s.prev, s.byFirst = nil, nil
+		s.prev, s.byFirst, s.prior = nil, nil, nil
 	}
 	// Target or cap change: aggregates stay valid (they never see the
 	// target), placements don't.
@@ -245,22 +286,37 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 	fullRun := !replay
 
 	// Phase 2: aggregate the misses in parallel, in global group order.
+	// The groups cover the merged run in order, as the previous run's
+	// did, so one cursor walks the previous aggregates alongside: a hit
+	// puts it past its entry, a miss past its members (see
+	// aggregate.Prior.Skip). Each miss records only where its search
+	// starts; the aggregation resolves its members from there.
 	missIdx := make([]int, 0, dirty)
 	missGroups := make([][]*flexoffer.FlexOffer, 0, dirty)
-	for i := range groups {
-		if match[i] < 0 {
-			missIdx = append(missIdx, i)
-			missGroups = append(missGroups, groups[i])
+	src := aggregate.Sources{Prior: s.prior, Starts: make([]aggregate.Cursor, 0, dirty)}
+	var at aggregate.Cursor
+	members := 0
+	for i, g := range groups {
+		if p := match[i]; p >= 0 {
+			at = s.prior.First(p + 1)
+			continue
 		}
+		missIdx = append(missIdx, i)
+		missGroups = append(missGroups, g)
+		src.Starts = append(src.Starts, at)
+		at = s.prior.Skip(at, g)
+		members += len(g)
 	}
 	if len(missGroups) > 0 {
-		ags, err := aggFn(ctx, missGroups)
+		ags, reused, err := aggFn(ctx, missGroups, src)
 		if err != nil {
 			return nil, remapGroupErr(err, missIdx)
 		}
 		for j, ag := range ags {
 			next[missIdx[j]].agg = ag
 		}
+		s.stats.LayoutsReused += int64(reused)
+		s.stats.LayoutsBuilt += int64(members - reused)
 	}
 	for i := range groups {
 		if p := match[i]; p >= 0 {
@@ -374,14 +430,16 @@ func (s *State) Run(ctx context.Context, groups [][]*flexoffer.FlexOffer, target
 	// Success: swap the state. Entries index by first member (first
 	// wins when groups share one; the loser just misses next time).
 	byFirst := make(map[*flexoffer.FlexOffer]int, n)
+	prior := make(aggregate.Prior, n)
 	for i := range next {
 		if g := next[i].members; len(g) > 0 {
 			if _, ok := byFirst[g[0]]; !ok {
 				byFirst[g[0]] = i
 			}
 		}
+		prior[i] = next[i].agg
 	}
-	s.prev, s.byFirst = next, byFirst
+	s.prev, s.byFirst, s.prior = next, byFirst, prior
 	s.target, s.peakCap, s.safe, s.valid = target, cfg.PeakCap, cfg.Safe, true
 
 	s.stats.Runs++

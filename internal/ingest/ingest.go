@@ -149,11 +149,14 @@ func DecodeNDJSON(ctx context.Context, r io.Reader, p Params) ([]*flexoffer.Flex
 	if blockBytes < 1 {
 		blockBytes = 1 << 20
 	}
-	br := bufio.NewReaderSize(r, min(blockBytes, 1<<20))
+	// Reads of a block's chunks bypass the reader's buffer, so it only
+	// serves the line extension and stays small.
+	br := bufio.NewReaderSize(r, min(blockBytes, readerBytes))
 	// One block buffer serves the whole stream: decodeBlock completes
 	// before the next read, and everything that outlives a round
-	// (offers, error messages) is copied out of it.
-	buf := make([]byte, blockBytes)
+	// (offers, error messages) is copied out of it. readBlock grows it
+	// to what the stream holds, up to one block.
+	var buf []byte
 	var (
 		out     []*flexoffer.FlexOffer
 		all     RecordErrors
@@ -164,7 +167,7 @@ func DecodeNDJSON(ctx context.Context, r io.Reader, p Params) ([]*flexoffer.Flex
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		data, spans, nlines, rerr := readBlock(br, buf)
+		data, spans, nlines, rerr := readBlock(br, &buf, blockBytes)
 		if rerr != nil && rerr != io.EOF {
 			return nil, fmt.Errorf("ingest: reading block at record %d: %w", recBase, rerr)
 		}
@@ -236,15 +239,35 @@ func DecodeNDJSONSerial(r io.Reader, mode ErrorMode) ([]*flexoffer.FlexOffer, er
 	return out, nil
 }
 
-// readBlock reads the next block into buf: len(buf) bytes, extended
+// readerBytes is the size of DecodeNDJSON's read buffer, and
+// startBytes the block buffer's first size.
+const (
+	readerBytes = 4 << 10
+	startBytes  = 16 << 10
+)
+
+// readBlock reads the next block into *buf: size bytes, extended
 // through the end of the last line so every record is whole (the
 // extension appends, so an oversized final line never clobbers buf for
-// the caller's next round). It returns the block data, the record
-// spans within it, the number of physical lines it covers, and io.EOF
-// once the stream is exhausted.
-func readBlock(br *bufio.Reader, buf []byte) (data []byte, spans []span, lines int, err error) {
-	n, rerr := io.ReadFull(br, buf)
-	data = buf[:n]
+// the caller's next round). *buf doubles from startBytes only as far
+// as the stream fills it, so a short stream costs what it holds, not a
+// whole block, and the grown storage serves the next block. It returns
+// the block data, the record spans within it, the number of physical
+// lines it covers, and io.EOF once the stream is exhausted.
+func readBlock(br *bufio.Reader, buf *[]byte, size int) (data []byte, spans []span, lines int, err error) {
+	data = (*buf)[:0]
+	var rerr error
+	for rerr == nil && len(data) < size {
+		if len(data) == cap(data) {
+			grown := make([]byte, len(data), min(max(2*cap(data), startBytes), size))
+			copy(grown, data)
+			data = grown
+		}
+		var n int
+		n, rerr = io.ReadFull(br, data[len(data):cap(data)])
+		data = data[:len(data)+n]
+	}
+	*buf = data[:0]
 	switch rerr {
 	case nil:
 		// Target filled mid-line: extend through the next newline so the

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -8,8 +9,10 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	stdiotest "testing/iotest"
 
 	"flexmeasures/internal/flexoffer"
 	"flexmeasures/internal/pool"
@@ -273,6 +276,91 @@ func TestRecordLargerThanBlock(t *testing.T) {
 	}
 	if len(got) != 2 || !got[0].Equal(big) || !got[1].Equal(big) {
 		t.Fatal("oversized records did not round-trip")
+	}
+}
+
+// fullBlocks is the block split readBlock must keep: each block one
+// io.ReadFull of size bytes, extended through the end of its last
+// line.
+func fullBlocks(t *testing.T, r io.Reader, size int) []string {
+	t.Helper()
+	br := bufio.NewReader(r)
+	var blocks []string
+	for {
+		buf := make([]byte, size)
+		n, err := io.ReadFull(br, buf)
+		data := buf[:n]
+		if err == nil && data[n-1] != '\n' {
+			rest, lerr := br.ReadBytes('\n')
+			data = append(data, rest...)
+			err = lerr
+		}
+		if len(data) > 0 {
+			blocks = append(blocks, string(data))
+		}
+		if err != nil {
+			return blocks
+		}
+	}
+}
+
+// TestReadBlockSplitsAsFullReads: the growing block buffer splits a
+// stream into the same blocks as one full-size read per block, for
+// block sizes below, at and past the buffer's first size, whether the
+// reader returns whole chunks or one byte at a time.
+func TestReadBlockSplitsAsFullReads(t *testing.T) {
+	data, _ := encodeNDJSON(t, 11, 300)
+	for _, size := range []int{1, 64, startBytes - 1, startBytes, startBytes + 1, 3*startBytes + 7, 1 << 20} {
+		want := fullBlocks(t, bytes.NewReader(data), size)
+		for name, r := range map[string]io.Reader{
+			"chunks":   bytes.NewReader(data),
+			"one-byte": stdiotest.OneByteReader(bytes.NewReader(data)),
+		} {
+			br := bufio.NewReaderSize(r, min(size, readerBytes))
+			var buf []byte
+			var got []string
+			for {
+				block, _, _, err := readBlock(br, &buf, size)
+				if err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+				if len(block) > 0 {
+					got = append(got, string(block))
+				}
+				if cap(buf) > size {
+					t.Fatalf("size %d %s: buffer grew to %d", size, name, cap(buf))
+				}
+				if err == io.EOF {
+					break
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("size %d %s: %d blocks, want %d as full reads split them", size, name, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestDecodeAllocatesForTheBody: a 25-offer body (~10 KB) costs
+// allocations on the scale of the body, not of the 1 MiB default
+// block.
+func TestDecodeAllocatesForTheBody(t *testing.T) {
+	data, _ := encodeNDJSON(t, 13, 25)
+	decode := func() {
+		if _, err := DecodeNDJSON(context.Background(), bytes.NewReader(data), Params{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 128<<10 {
+		t.Fatalf("decoding a %d-byte body allocates %d bytes per call, want < 128 KiB", len(data), per)
 	}
 }
 

@@ -137,6 +137,10 @@ func TestIncrementalScheduleMetrics(t *testing.T) {
 	if dirty == 0 {
 		t.Error("delta run re-aggregated no groups — the 3 replacements must dirty their segments")
 	}
+	// The dirty groups' unchanged members keep their layouts.
+	if v := metricValue(t, text, "flexd_sched_layouts_reused_total"); v == 0 {
+		t.Error("delta run copied no member layout from the previous aggregates")
+	}
 	if reused == 0 || dirty >= reused {
 		t.Errorf("delta run dirtied %d groups but replayed only %d — want re-placement O(changed groups)", dirty, reused)
 	}

@@ -252,6 +252,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("# HELP flexd_sched_full_recompute_total Incremental runs that fell back to placing every group (cold cache, changed target, or dirty fraction over threshold).\n")
 	write("# TYPE flexd_sched_full_recompute_total counter\n")
 	write("flexd_sched_full_recompute_total %d\n", st.FullRuns)
+	write("# HELP flexd_sched_layouts_reused_total Members of re-aggregated groups whose layout was copied from the previous run's aggregates.\n")
+	write("# TYPE flexd_sched_layouts_reused_total counter\n")
+	write("flexd_sched_layouts_reused_total %d\n", st.LayoutsReused)
+	write("# HELP flexd_sched_layouts_built_total Members of re-aggregated groups whose layout was read from the offer.\n")
+	write("# TYPE flexd_sched_layouts_built_total counter\n")
+	write("flexd_sched_layouts_built_total %d\n", st.LayoutsBuilt)
 	write("# HELP flexd_sched_dirty_groups Groups re-aggregated by the most recent schedule run.\n")
 	write("# TYPE flexd_sched_dirty_groups gauge\n")
 	write("flexd_sched_dirty_groups %d\n", st.LastDirty)

@@ -301,6 +301,7 @@ func TestMetricsExposition(t *testing.T) {
 		"flexd_stage_seconds", "flexd_pool_queue_seconds", "flexd_wal_fsync_seconds",
 		"flexd_offers_ingested_total", "flexd_groups_total",
 		"flexd_sched_order_delta", "flexd_sched_encoded_groups_reused",
+		"flexd_sched_layouts_reused_total", "flexd_sched_layouts_built_total",
 	}
 	for _, fam := range families {
 		if !strings.Contains(metrics, "# HELP "+fam+" ") {
@@ -311,8 +312,14 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// The engine runs without WithIncremental: no cached order, and a
-	// first schedule has no previous body to copy from.
+	// The engine runs without WithIncremental: no cached order, no
+	// layouts from the cache or built for it, and a first schedule has
+	// no previous body to copy from.
+	for _, name := range []string{"flexd_sched_layouts_reused_total", "flexd_sched_layouts_built_total"} {
+		if v := metricValue(t, metrics, name); v != 0 {
+			t.Errorf("%s = %d, want 0", name, v)
+		}
+	}
 	if v := findLine(metrics, "flexd_sched_order_delta "); v != "0" {
 		t.Errorf("flexd_sched_order_delta = %q, want 0", v)
 	}

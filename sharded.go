@@ -66,44 +66,53 @@ func fanOut(ks []int, fn func(k int)) {
 
 // scatterAggregateGroups fans per-group aggregation out across the
 // shard pools in contiguous blocks — the aggregation stage of
-// AggregateRouted, the stateless pipeline and the incremental
-// pipeline's miss aggregation.
+// AggregateRouted and the stateless pipeline.
 func (e *Engine) scatterAggregateGroups(ctx context.Context, groups [][]*FlexOffer, o engineOptions) ([]*Aggregated, error) {
+	ags, _, err := e.scatterAggregateFrom(ctx, groups, aggregate.Sources{}, o)
+	return ags, err
+}
+
+// scatterAggregateFrom is scatterAggregateGroups copying member
+// layouts from src (the incremental pipeline's miss aggregation). It
+// also returns how many layouts it copied.
+func (e *Engine) scatterAggregateFrom(ctx context.Context, groups [][]*FlexOffer, src aggregate.Sources, o engineOptions) ([]*Aggregated, int, error) {
 	n := len(groups)
 	if n == 0 {
 		// The parallel stage's empty result (an empty, non-nil slice) is
 		// the one every empty aggregation reports.
-		return e.aggregateBlock(ctx, 0, groups, o)
+		return e.aggregateBlock(ctx, 0, groups, src, o)
 	}
 	out := make([]*Aggregated, n)
 	errs := make([]error, len(e.pools))
+	reused := make([]int, len(e.pools))
 	e.forBlocks(n, func(k, lo, hi int) {
 		// Each shard's block aggregates under its own shard-labeled
 		// span (started inside aggregateBlock's parallel stage).
-		ags, err := e.aggregateBlock(obs.WithShard(ctx, k), k, groups[lo:hi], o)
+		ags, r, err := e.aggregateBlock(obs.WithShard(ctx, k), k, groups[lo:hi], src.Block(lo, hi), o)
 		if err != nil {
 			errs[k] = offsetBlockErr(err, lo)
 			return
 		}
 		copy(out[lo:hi], ags)
+		reused[k] = r
 	})
 	if err := mergeBlockErrs(errs, o.errMode); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	total := 0
+	for _, r := range reused {
+		total += r
+	}
+	return out, total, nil
 }
 
 // aggregateBlock aggregates a block of groups on shard k's pool under
-// the resolved option set.
-func (e *Engine) aggregateBlock(ctx context.Context, k int, groups [][]*FlexOffer, o engineOptions) ([]*Aggregated, error) {
-	pp := e.parallelParams(k, o)
-	if o.safe {
-		return aggregate.AggregateGroupsSafeParallel(ctx, groups, pp)
-	}
-	return aggregate.AggregateGroupsParallel(ctx, groups, pp)
+// the resolved option set, copying member layouts from src.
+func (e *Engine) aggregateBlock(ctx context.Context, k int, groups [][]*FlexOffer, src aggregate.Sources, o engineOptions) ([]*Aggregated, int, error) {
+	return aggregate.AggregateGroupsFromParallel(ctx, groups, src, o.safe, e.parallelParams(k, o))
 }
 
 // scatterGroup is the scatter-gather grouping stage: each non-empty
