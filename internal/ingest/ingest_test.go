@@ -341,9 +341,8 @@ func TestReadBlockSplitsAsFullReads(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocatesForTheBody: a 25-offer body (~10 KB) costs
-// allocations on the scale of the body, not of the 1 MiB default
-// block.
+// TestDecodeAllocatesForTheBody: a 25-offer body costs allocations on
+// the scale of the body, not of the 1 MiB default block.
 func TestDecodeAllocatesForTheBody(t *testing.T) {
 	data, _ := encodeNDJSON(t, 13, 25)
 	decode := func() {
