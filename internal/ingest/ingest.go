@@ -1,18 +1,23 @@
 // Package ingest decodes NDJSON flex-offer streams with the decode work
-// sharded across a worker pool — the ingestion substrate of the flexd
-// service and the ROADMAP's "shard offer ingestion/decoding" scale-out
-// item.
+// sharded across a worker pool: the ingestion substrate of the flexd
+// service.
 //
 // The wire format is NDJSON: one JSON flex-offer per line (the format
 // flexoffer.EncodeNDJSON writes). DecodeNDJSON reads the stream in
 // bounded blocks, splits each block into runs of whole lines, and fans
 // the runs out across an Executor — the Engine's persistent pool in the
-// flexd service, per-call goroutine spin-up otherwise. Each shard
-// decodes its lines with its own json.Decoders; decoded offers land in
-// per-record slots, so reassembly order is the input record order no
-// matter which worker decoded what, and the output is bit-identical to
-// the serial DecodeNDJSONSerial for every worker count and block size
-// (the equivalence property test pins this).
+// flexd service, per-call goroutine spin-up otherwise. Each line is
+// decoded by a schema decoder written for the one FlexOffer schema: a
+// single pass with no reflection that allocates the offer, its exactly
+// sized slices and its strings. It accepts only lines encoding/json
+// would decode to the same offer and hands every other line (escapes,
+// case-folded or unknown keys, duplicate keys, null, non-integer or
+// overlong numbers, trailing data) to encoding/json, so every decode
+// error comes from encoding/json. Decoded offers land in per-record
+// slots, so reassembly order is the input record order no matter which
+// worker decoded what, and the output is the same for every worker
+// count and block size (the equivalence tests pin both against a
+// serial encoding/json decode).
 //
 // Failures are reported per record in the style of the aggregation
 // pipeline's GroupError: a RecordError identifies the failing record by
@@ -136,10 +141,9 @@ type span struct {
 
 // DecodeNDJSON reads NDJSON flex-offers from r with the decode work
 // sharded under p. The result holds the offers in record order and is
-// identical to DecodeNDJSONSerial on the same stream for every worker
-// count and block size. On failure it returns a *RecordError
-// (FirstError: always the lowest-indexed failing record, like the
-// serial decoder, regardless of scheduling) or RecordErrors sorted by
+// the same for every worker count and block size. On failure it
+// returns a *RecordError (FirstError: always the lowest-indexed
+// failing record, regardless of scheduling) or RecordErrors sorted by
 // record (CollectAll); a cancelled ctx is honored between blocks and
 // between records.
 func DecodeNDJSON(ctx context.Context, r io.Reader, p Params) ([]*flexoffer.FlexOffer, error) {
@@ -155,8 +159,14 @@ func DecodeNDJSON(ctx context.Context, r io.Reader, p Params) ([]*flexoffer.Flex
 	// One block buffer serves the whole stream: decodeBlock completes
 	// before the next read, and everything that outlives a round
 	// (offers, error messages) is copied out of it. readBlock grows it
-	// to what the stream holds, up to one block.
-	var buf []byte
+	// to what the stream holds, up to one block, and the next call
+	// starts from it.
+	buf := blockBufs.Get()
+	defer func() {
+		if cap(buf) <= keptBlockBytes {
+			blockBufs.Put(buf[:0])
+		}
+	}()
 	var (
 		out     []*flexoffer.FlexOffer
 		all     RecordErrors
@@ -196,55 +206,19 @@ func DecodeNDJSON(ctx context.Context, r io.Reader, p Params) ([]*flexoffer.Flex
 	return out, nil
 }
 
-// DecodeNDJSONSerial is the one-goroutine reference decoder: a plain
-// line-by-line loop with no blocks, no shards and no pool. It is the
-// oracle the sharded path is equivalence-tested against, and the serial
-// baseline BenchmarkDecodeNDJSONSerial measures the shards against.
-func DecodeNDJSONSerial(r io.Reader, mode ErrorMode) ([]*flexoffer.FlexOffer, error) {
-	br := bufio.NewReader(r)
-	var (
-		out  []*flexoffer.FlexOffer
-		errs RecordErrors
-		rec  int
-		ln   int
-	)
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return nil, fmt.Errorf("ingest: reading line %d: %w", ln+1, rerr)
-		}
-		if len(line) > 0 {
-			ln++
-			if trimmed := trimLine(line); len(trimmed) > 0 {
-				f, err := decodeRecord(trimmed)
-				if err != nil {
-					re := &RecordError{Record: rec, Line: ln, Err: err}
-					if mode == FirstError {
-						return nil, re
-					}
-					errs = append(errs, re)
-				} else if len(errs) == 0 {
-					out = append(out, f)
-				}
-				rec++
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-	}
-	if len(errs) > 0 {
-		return nil, errs
-	}
-	return out, nil
-}
-
-// readerBytes is the size of DecodeNDJSON's read buffer, and
-// startBytes the block buffer's first size.
+// readerBytes is the size of DecodeNDJSON's read buffer, startBytes
+// the block buffer's first size, and keptBlockBytes the largest block
+// buffer kept for the next call.
 const (
-	readerBytes = 4 << 10
-	startBytes  = 16 << 10
+	readerBytes    = 4 << 10
+	startBytes     = 16 << 10
+	keptBlockBytes = 256 << 10
 )
+
+// blockBufs keeps one block buffer between calls, so a steady stream
+// of requests reuses one instead of growing a fresh one each. A larger
+// buffer (a bulk load's 1 MiB blocks) is dropped rather than kept live.
+var blockBufs = pool.NewFree(1, func() []byte { return nil })
 
 // readBlock reads the next block into *buf: size bytes, extended
 // through the end of the last line so every record is whole (the
@@ -253,7 +227,8 @@ const (
 // as the stream fills it, so a short stream costs what it holds, not a
 // whole block, and the grown storage serves the next block. It returns
 // the block data, the record spans within it, the number of physical
-// lines it covers, and io.EOF once the stream is exhausted.
+// lines it covers, and io.EOF once the stream is exhausted. A buffer
+// larger than size, kept from an earlier call, is filled only to size.
 func readBlock(br *bufio.Reader, buf *[]byte, size int) (data []byte, spans []span, lines int, err error) {
 	data = (*buf)[:0]
 	var rerr error
@@ -264,7 +239,7 @@ func readBlock(br *bufio.Reader, buf *[]byte, size int) (data []byte, spans []sp
 			data = grown
 		}
 		var n int
-		n, rerr = io.ReadFull(br, data[len(data):cap(data)])
+		n, rerr = io.ReadFull(br, data[len(data):min(cap(data), size)])
 		data = data[:len(data)+n]
 	}
 	*buf = data[:0]
@@ -296,6 +271,7 @@ func readBlock(br *bufio.Reader, buf *[]byte, size int) (data []byte, spans []sp
 // whitespace-only lines skipped (they are not records, matching what a
 // stream of json.Encoder outputs plus blank separators decodes to).
 func scanLines(data []byte) (spans []span, lines int) {
+	spans = make([]span, 0, bytes.Count(data, []byte{'\n'})+1)
 	for start := 0; start < len(data); {
 		end := bytes.IndexByte(data[start:], '\n')
 		var next int
@@ -336,16 +312,16 @@ func leadingSpace(line []byte) int {
 
 // decodeBlock fans the block's records out across the decode shards:
 // each shard claims runs of consecutive records (the executor's
-// batching) and decodes them with its own json.Decoders, landing each
-// offer in its record's slot, so neither output order nor error
-// attribution depends on scheduling. Every record of the block is
-// attempted even after a failure — blocks are bounded, and draining
-// the block is what makes the FirstError report deterministic: the
-// lowest-indexed failure always wins, exactly as in the serial
-// decoder, no matter which shard failed first. (The aggregation
-// pipeline's FirstError is scheduling-dependent by documented design;
-// ingest can afford the stronger guarantee because a block, unlike an
-// unbounded group batch, is at most one BlockBytes read.)
+// batching) and decodes them with decodeRecord, landing each offer in
+// its record's slot, so neither output order nor error attribution
+// depends on scheduling. Every record of the block is attempted even
+// after a failure — blocks are bounded, and draining the block is what
+// makes the FirstError report deterministic: the lowest-indexed
+// failure always wins, as a line-by-line decode would report it, no
+// matter which shard failed first. (The aggregation pipeline's
+// FirstError is scheduling-dependent by documented design; ingest can
+// afford the stronger guarantee because a block, unlike an unbounded
+// group batch, is at most one BlockBytes read.)
 func decodeBlock(ctx context.Context, data []byte, spans []span, recBase, lnBase int, p Params) ([]*flexoffer.FlexOffer, RecordErrors) {
 	n := len(spans)
 	offers := make([]*flexoffer.FlexOffer, n)
@@ -381,10 +357,26 @@ func decodeBlock(ctx context.Context, data []byte, spans []span, recBase, lnBase
 // decodeRecord decodes exactly one flex-offer from one line: unknown
 // fields are rejected (matching the document codec), trailing content
 // after the value fails with ErrTrailingData, and the offer is
-// validated. This is the shared per-record kernel of the serial and
-// sharded paths, which is what makes their outputs bit-identical on
-// every malformed input.
+// validated. The schema decoder (parseRecord) takes every line it can
+// prove encoding/json decodes to the same offer; it declines the rest,
+// which decodeJSON decodes, so every decode error, and every record
+// index it is reported under, comes from encoding/json.
 func decodeRecord(line []byte) (*flexoffer.FlexOffer, error) {
+	f, ok := parseRecord(line)
+	if !ok {
+		return decodeJSON(line)
+	}
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// decodeJSON is decodeRecord through encoding/json alone: the fallback
+// for the lines the schema decoder declines, and the oracle it is
+// tested against. Slices is copied to its exact length when the
+// decoder left spare capacity, as the schema decoder allocates it.
+func decodeJSON(line []byte) (*flexoffer.FlexOffer, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var f flexoffer.FlexOffer
@@ -396,6 +388,9 @@ func decodeRecord(line []byte) (*flexoffer.FlexOffer, error) {
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
+	}
+	if cap(f.Slices) > len(f.Slices) {
+		f.Slices = append(make([]flexoffer.Slice, 0, len(f.Slices)), f.Slices...)
 	}
 	return &f, nil
 }

@@ -34,6 +34,50 @@ func encodeNDJSON(t *testing.T, seed int64, n int) ([]byte, []*flexoffer.FlexOff
 	return buf.Bytes(), offers
 }
 
+// DecodeNDJSONSerial is the one-goroutine reference decoder: a plain
+// line-by-line loop with no blocks, no shards and no pool, decoding
+// every record through encoding/json alone (decodeJSON). It is the
+// oracle the sharded path and its schema decoder are tested against,
+// and the baseline BenchmarkDecodeNDJSONSerial measures them against.
+func DecodeNDJSONSerial(r io.Reader, mode ErrorMode) ([]*flexoffer.FlexOffer, error) {
+	br := bufio.NewReader(r)
+	var (
+		out  []*flexoffer.FlexOffer
+		errs RecordErrors
+		rec  int
+		ln   int
+	)
+	for {
+		line, rerr := br.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return nil, fmt.Errorf("ingest: reading line %d: %w", ln+1, rerr)
+		}
+		if len(line) > 0 {
+			ln++
+			if trimmed := trimLine(line); len(trimmed) > 0 {
+				f, err := decodeJSON(trimmed)
+				if err != nil {
+					re := &RecordError{Record: rec, Line: ln, Err: err}
+					if mode == FirstError {
+						return nil, re
+					}
+					errs = append(errs, re)
+				} else if len(errs) == 0 {
+					out = append(out, f)
+				}
+				rec++
+			}
+		}
+		if rerr == io.EOF {
+			break
+		}
+	}
+	if len(errs) > 0 {
+		return nil, errs
+	}
+	return out, nil
+}
+
 // TestShardedMatchesSerial is the tentpole equivalence property: for
 // every worker count and block size, the sharded decode produces
 // exactly the serial decode's offers — which in turn round-trip the
@@ -337,6 +381,34 @@ func TestReadBlockSplitsAsFullReads(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("size %d %s: %d blocks, want %d as full reads split them", size, name, len(got), len(want))
 			}
+		}
+	}
+}
+
+// TestReadBlockKeptBufferSplitsAsFullReads: a buffer kept from an
+// earlier call, larger than the block size, still splits the stream
+// into blocks of the requested size.
+func TestReadBlockKeptBufferSplitsAsFullReads(t *testing.T) {
+	data, _ := encodeNDJSON(t, 11, 300)
+	for _, size := range []int{64, startBytes + 1, 3*startBytes + 7} {
+		want := fullBlocks(t, bytes.NewReader(data), size)
+		br := bufio.NewReaderSize(bytes.NewReader(data), min(size, readerBytes))
+		buf := make([]byte, 0, keptBlockBytes)
+		var got []string
+		for {
+			block, _, _, err := readBlock(br, &buf, size)
+			if err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+			if len(block) > 0 {
+				got = append(got, string(block))
+			}
+			if err == io.EOF {
+				break
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("size %d: %d blocks, want %d as full reads split them", size, len(got), len(want))
 		}
 	}
 }

@@ -146,6 +146,10 @@ type WALStore struct {
 	sinceSnap  int
 	snapBusy   bool
 	closed     bool
+	// recs is the record buffer appendLocked frames each batch into,
+	// kept for the next batch unless a bulk load grew it past
+	// keptRecordBytes.
+	recs []byte
 
 	errMu    sync.Mutex
 	firstErr error
@@ -505,6 +509,10 @@ func (w *WALStore) healthyLocked() error {
 	return nil
 }
 
+// keptRecordBytes is the largest record buffer a WALStore keeps
+// between batches.
+const keptRecordBytes = 256 << 10
+
 // appendLocked frames and writes muts to the active segment, syncing
 // per policy. The store is NOT applied here: log first, apply only
 // after the log accepted the batch, so a failed append leaves memory
@@ -522,12 +530,15 @@ func (w *WALStore) appendLocked(ctx context.Context, muts []shard.Mutation) erro
 			w.o.Metrics.Observe(obs.StageWALAppend, -1, time.Since(t0))
 		}
 	}()
-	var buf []byte
+	buf := w.recs[:0]
 	var err error
 	for _, m := range muts {
 		if buf, err = appendRecord(buf, m); err != nil {
 			return w.fail(err)
 		}
+	}
+	if cap(buf) <= keptRecordBytes {
+		w.recs = buf
 	}
 	if w.active == nil {
 		if err := w.openActiveLocked(); err != nil {

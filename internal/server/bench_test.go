@@ -43,6 +43,48 @@ func BenchmarkMeasuresEndpoint50k(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestEndpoint50k is one POST /v1/offers of 1000
+// re-submissions under existing IDs to a 50k-offer two-shard server
+// behind httptest: the NDJSON decode, the store's replacing apply and
+// the response, per request, with its bytes and allocations. The store
+// size stays fixed, as in a steady stream of re-submitted offers.
+func BenchmarkIngestEndpoint50k(b *testing.B) {
+	offers, err := workload.Population(rand.New(rand.NewSource(99)), 50000, 3, workload.DefaultMix())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, f := range offers {
+		f.ID = fmt.Sprintf("p-%05d", i)
+	}
+	srv := benchServer(b, offers, flex.NewSharded(2))
+	rng := rand.New(rand.NewSource(100))
+	resubmits, err := workload.Population(rng, 1000, 3, workload.DefaultMix())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range resubmits {
+		f.ID = offers[rng.Intn(len(offers))].ID
+	}
+	var body bytes.Buffer
+	if err := flexoffer.EncodeNDJSON(&body, resubmits); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Post(srv.URL+"/v1/offers", "application/x-ndjson", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("ingest: %s, %v", resp.Status, err)
+		}
+	}
+}
+
 // benchServer serves a fresh engine se behind httptest with the offers
 // ingested; the engine and server close when the benchmark ends.
 func benchServer(b *testing.B, offers []*flexoffer.FlexOffer, se *flex.Engine) *httptest.Server {

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"flexmeasures/internal/flexoffer"
 )
@@ -67,9 +68,12 @@ type loc struct {
 // Stores is the sharded counterpart of flexd's single in-memory offer
 // store: N copy-on-write entry lists under one lock, one global
 // sequence counter, and one last-write-wins ID index spanning all
-// shards. Snapshots are immutable — mutations only ever append to a
-// shard's slice or replace the slice wholesale — so readers run
-// lock-free on whatever snapshot they took.
+// shards. Snapshots are immutable — a shard slice a snapshot has seen
+// is only ever appended to past its length, or replaced wholesale by a
+// clone before an in-place edit — so readers run lock-free on whatever
+// snapshot they took. A shard no snapshot has seen since its last
+// clone is edited in place, so a stream of replacing ingests between
+// reads copies nothing.
 //
 // The single lock is deliberate: per-shard locks would let two
 // concurrent ingests interleave their sequence assignments, and the
@@ -91,6 +95,11 @@ type Stores struct {
 	mu     sync.RWMutex
 	seq    uint64
 	shards [][]Entry
+	// shared[k] reports that a Snapshot has handed out shards[k]'s
+	// backing array since it was last cloned, so the next in-place edit
+	// must clone it first. Snapshot sets it under the read lock, hence
+	// the atomics; own clears it under the write lock.
+	shared []atomic.Bool
 	// index maps a non-empty offer ID to its shard and sequence — the
 	// per-prosumer identity behind last-write-wins dedup. It spans all
 	// shards so a re-submission whose zone changed is found (and moved)
@@ -104,6 +113,7 @@ func NewStores(r Router) *Stores {
 	return &Stores{
 		r:      r,
 		shards: make([][]Entry, r.NumShards()),
+		shared: make([]atomic.Bool, r.NumShards()),
 		index:  make(map[string]loc),
 	}
 }
@@ -116,8 +126,9 @@ func (s *Stores) Shards() int { return len(s.shards) }
 // number (last write wins — and if the new version's key routes
 // elsewhere, e.g. the prosumer moved zones, the entry moves shards
 // keeping its sequence), everything else is appended under a fresh
-// sequence number. Any shard whose pre-existing region is touched is
-// cloned first, keeping previously returned snapshots immutable.
+// sequence number. A shard whose pre-existing region is touched is
+// cloned first if a snapshot has seen it, keeping previously returned
+// snapshots immutable.
 //
 // It reports the applied mutations (one per offer, in input order) and
 // the store's total size afterwards.
@@ -149,23 +160,22 @@ func (s *Stores) Stage(offers []*flexoffer.FlexOffer) []Mutation {
 func (s *Stores) stageLocked(offers []*flexoffer.FlexOffer) []Mutation {
 	muts := make([]Mutation, 0, len(offers))
 	seq := s.seq
-	// overlay tracks IDs added or moved earlier in this same batch, so
-	// an intra-batch re-submission stages as a replace of the staged
-	// entry, exactly as it would land if the batch were split in two.
-	var overlay map[string]loc
+	// overlay holds the sequence numbers of IDs added earlier in this
+	// same batch, so an intra-batch re-submission stages as a replace of
+	// the staged entry, exactly as it would land if the batch were split
+	// in two. A replace keeps its sequence number and routing needs
+	// nothing else, so replaced IDs need no entry: a batch of
+	// re-submissions stages without a map.
+	var overlay map[string]uint64
 	for _, f := range offers {
 		if f.ID != "" {
-			l, ok := overlay[f.ID]
+			at, ok := overlay[f.ID]
 			if !ok {
-				l, ok = s.index[f.ID]
+				l, found := s.index[f.ID]
+				at, ok = l.seq, found
 			}
 			if ok {
-				target := s.r.Route(f, l.seq)
-				muts = append(muts, Mutation{Op: OpReplace, Shard: target, Seq: l.seq, Offer: f})
-				if overlay == nil {
-					overlay = make(map[string]loc)
-				}
-				overlay[f.ID] = loc{shard: target, seq: l.seq}
+				muts = append(muts, Mutation{Op: OpReplace, Shard: s.r.Route(f, at), Seq: at, Offer: f})
 				continue
 			}
 		}
@@ -173,9 +183,9 @@ func (s *Stores) stageLocked(offers []*flexoffer.FlexOffer) []Mutation {
 		muts = append(muts, Mutation{Op: OpAdd, Shard: sh, Seq: seq, Offer: f})
 		if f.ID != "" {
 			if overlay == nil {
-				overlay = make(map[string]loc)
+				overlay = make(map[string]uint64)
 			}
-			overlay[f.ID] = loc{shard: sh, seq: seq}
+			overlay[f.ID] = seq
 		}
 		seq++
 	}
@@ -221,11 +231,11 @@ func (s *Stores) stageDeleteLocked(ids []string) []Mutation {
 // Apply executes mutations — the single code path live ingest and WAL
 // replay share. Every mutation carries its exact shard and sequence
 // number, so applying a store's logged mutations to an empty store of
-// the same shape reproduces it bit for bit, copy-on-write layout
-// included. Inconsistent mutations (a replace of an unknown ID, a
-// sequence regression, an out-of-range shard) return an error with
-// nothing further applied: on replay such a record means the log is
-// corrupt, and the caller must fail loudly rather than guess.
+// the same shape reproduces its contents bit for bit. Inconsistent
+// mutations (a replace of an unknown ID, a sequence regression, an
+// out-of-range shard) return an error with nothing further applied: on
+// replay such a record means the log is corrupt, and the caller must
+// fail loudly rather than guess.
 func (s *Stores) Apply(muts []Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,20 +243,15 @@ func (s *Stores) Apply(muts []Mutation) error {
 }
 
 func (s *Stores) applyLocked(muts []Mutation) error {
-	cloned := make([]bool, len(s.shards))
 	for i, m := range muts {
-		if err := s.applyOne(m, cloned); err != nil {
+		if err := s.applyOne(m); err != nil {
 			return fmt.Errorf("mutation %d (%s seq %d): %w", i, m.Op, m.Seq, err)
-		}
-		if m.Op == OpReset {
-			// The reset swapped every shard slice; earlier clones are gone.
-			cloned = make([]bool, len(s.shards))
 		}
 	}
 	return nil
 }
 
-func (s *Stores) applyOne(m Mutation, cloned []bool) error {
+func (s *Stores) applyOne(m Mutation) error {
 	switch m.Op {
 	case OpAdd:
 		if m.Shard < 0 || m.Shard >= len(s.shards) {
@@ -281,7 +286,7 @@ func (s *Stores) applyOne(m Mutation, cloned []bool) error {
 		if l.seq != m.Seq {
 			return fmt.Errorf("replace targets seq %d but id %q owns seq %d", m.Seq, m.Offer.ID, l.seq)
 		}
-		s.replace(m.Offer, l, m.Shard, cloned)
+		s.replace(m.Offer, l, m.Shard)
 		s.index[m.Offer.ID] = loc{shard: m.Shard, seq: m.Seq}
 	case OpDelete:
 		if m.Shard < 0 || m.Shard >= len(s.shards) {
@@ -293,7 +298,7 @@ func (s *Stores) applyOne(m Mutation, cloned []bool) error {
 			return fmt.Errorf("delete of absent entry on shard %d", m.Shard)
 		}
 		victim := sh[pos]
-		s.own(m.Shard, cloned)
+		s.own(m.Shard)
 		s.shards[m.Shard] = removeAt(s.shards[m.Shard], pos)
 		if victim.Offer.ID != "" {
 			delete(s.index, victim.Offer.ID)
@@ -308,10 +313,10 @@ func (s *Stores) applyOne(m Mutation, cloned []bool) error {
 }
 
 // replace overwrites the entry at l with f, moving it to the target
-// shard when routing changed, cloning touched shards at most once per
-// Apply batch.
-func (s *Stores) replace(f *flexoffer.FlexOffer, l loc, target int, cloned []bool) {
-	s.own(l.shard, cloned)
+// shard when routing changed, cloning a touched shard only when a
+// snapshot has seen it.
+func (s *Stores) replace(f *flexoffer.FlexOffer, l loc, target int) {
+	s.own(l.shard)
 	pos := findSeq(s.shards[l.shard], l.seq)
 	if target == l.shard {
 		s.shards[l.shard][pos] = Entry{Offer: f, Seq: l.seq}
@@ -319,11 +324,11 @@ func (s *Stores) replace(f *flexoffer.FlexOffer, l loc, target int, cloned []boo
 	}
 	// Cross-shard move: remove from the old shard, insert into the new
 	// one at the position its sequence number dictates, so every shard
-	// slice stays Seq-sorted. Both edits run in place on this batch's
-	// clones, so k moves in one batch cost at most one clone per shard,
-	// not two per move.
+	// slice stays Seq-sorted. Both edits run in place once the shards
+	// are owned, so k moves between snapshots cost at most one clone per
+	// shard, not two per move.
 	s.shards[l.shard] = removeAt(s.shards[l.shard], pos)
-	s.own(target, cloned)
+	s.own(target)
 	dst := s.shards[target]
 	at := insertionPoint(dst, l.seq)
 	dst = append(dst, Entry{})
@@ -332,13 +337,14 @@ func (s *Stores) replace(f *flexoffer.FlexOffer, l loc, target int, cloned []boo
 	s.shards[target] = dst
 }
 
-// own makes shard k's slice this Apply batch's private copy, cloning it
-// on the batch's first in-place edit of the shard, so snapshots taken
-// before the batch never see the edits.
-func (s *Stores) own(k int, cloned []bool) {
-	if !cloned[k] {
+// own makes shard k's slice safe to edit in place: if a snapshot has
+// handed out its backing array since the last clone, it is cloned now,
+// so no snapshot ever sees an edit. Until the next Snapshot, further
+// edits reuse the clone.
+func (s *Stores) own(k int) {
+	if s.shared[k].Load() {
 		s.shards[k] = append([]Entry(nil), s.shards[k]...)
-		cloned[k] = true
+		s.shared[k].Store(false)
 	}
 }
 
@@ -388,6 +394,7 @@ func (s *Stores) Reserve(adds []int) {
 			grown := make([]Entry, len(sh), len(sh)+n)
 			copy(grown, sh)
 			s.shards[i] = grown
+			s.shared[i].Store(false)
 		}
 	}
 	if len(s.index) == 0 && total > 0 {
@@ -403,6 +410,13 @@ func (s *Stores) Snapshot() [][]Entry {
 	defer s.mu.RUnlock()
 	out := make([][]Entry, len(s.shards))
 	copy(out, s.shards)
+	for k := range s.shared {
+		// Load first: once the flag is set, concurrent readers only
+		// read its cache line.
+		if !s.shared[k].Load() {
+			s.shared[k].Store(true)
+		}
+	}
 	return out
 }
 
@@ -456,6 +470,9 @@ func (s *Stores) Reset() {
 
 func (s *Stores) resetLocked() {
 	s.shards = make([][]Entry, len(s.shards))
+	for k := range s.shared {
+		s.shared[k].Store(false)
+	}
 	s.index = make(map[string]loc)
 	s.seq = 0
 	s.count = 0
